@@ -18,7 +18,8 @@ import numpy as np
 from .background import RayRegion, classify_ray
 from .ellipticwave import elliptic_data, elliptic_eval
 from .planewave import planewave_eval, planewave_params
-from .scattering import InitialProfile, SpectralTable, validate_assumptions
+from .scattering import (InitialProfile, SpectralTable, validate_assumptions,
+                         winding_k_stop)
 from .simulator import SimGrid, sample_ray, simulate
 
 __all__ = ["RunConfig", "RayResult", "ComparisonReport", "run", "emit_report"]
@@ -198,12 +199,9 @@ def run(config):
         result = RayResult(xi=xi, region=ray.region.value)
         try:
             if base_rep is None:
-                base_rep = validate_assumptions(
-                    spectral, classify_ray(xi_max, A), K=10 * max(A, xi_max, 1.0)
-                )
-            k_stop = (-A / np.sqrt(2.0)
-                      if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A)
-            wind = spectral.max_abs_winding(k_stop)
+                base_rep = validate_assumptions(spectral,
+                                                classify_ray(xi_max, A))
+            wind = spectral.max_abs_winding(winding_k_stop(ray, A))
             assumptions[f"{xi:g}"] = {
                 "zero_count_upper": base_rep.zero_count_upper,
                 "zero_count_lower": base_rep.zero_count_lower,

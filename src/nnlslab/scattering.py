@@ -6,9 +6,16 @@ Jost solutions are obtained by integrating the rotated Lax ODE
 
 from the edge of the perturbation support (where the exact initial value is
 the background diagonalizer E(k)) to x = 0, with a batched adaptive embedded
-Runge-Kutta 5(4) scheme.  The spectral functions a1, a2, b1, b2 are 2x2
-determinants of Jost columns, and the two standing assumptions (no zeros of
-a1/a2, bounded winding of arg(1 + r1*r2)) have dedicated validators.
+Runge-Kutta 5(4) scheme.  The columns of Psi solve independent ODEs (the
+right factor sigma3 is a sign per column), so any subset of them can be
+integrated on its own.  The spectral functions a1, a2, b1, b2 are 2x2
+determinants of Jost columns.  Off the real axis the columns of a1 stay
+bounded only in the upper half plane and those of a2 only in the lower, while
+the other two columns grow like exp(2*|Im f(k)|*L); ``scattering_data(...,
+only="a1")`` integrates just the two columns its determinant needs, so the
+step size is not set by columns nobody reads.  The two standing assumptions
+(no zeros of a1/a2, bounded winding of arg(1 + r1*r2)) have dedicated
+validators.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .background import E_matrix, Ray, RayRegion, f_branch
+from .background import _CUT_OFFSET, E_matrix, Ray, RayRegion, f_branch
 from .numerics import PhaseUnwrapError, continuous_log
 
 __all__ = [
@@ -30,9 +37,8 @@ __all__ = [
     "scattering_data",
     "reflection",
     "validate_assumptions",
+    "winding_k_stop",
 ]
-
-_CUT_OFFSET = 1e-8
 
 
 @dataclass
@@ -184,18 +190,18 @@ _DP_B4 = np.array(
 )
 
 
-def _jost_rhs(profile, ks, fs):
+def _jost_rhs(profile, ks, fs, cols=(0, 1)):
     kcol = ks[:, None]
-    fcol = fs[:, None]
+    # Psi*sigma3 multiplies column 0 by +1 and column 1 by -1
+    ifs = 1j * fs[:, None, None] * np.array([1.0, -1.0])[list(cols)]
 
     def rhs(x, Y):
-        q = profile.q0(x)
-        cq = np.conj(profile.q0(-x))
+        q, q_mirror = profile.q0(np.array([x, -x]))
+        cq = np.conj(q_mirror)
         out = np.empty_like(Y)
         out[:, 0, :] = -1j * kcol * Y[:, 0, :] + q * Y[:, 1, :]
         out[:, 1, :] = 1j * kcol * Y[:, 1, :] - cq * Y[:, 0, :]
-        out[:, :, 0] += 1j * fcol * Y[:, :, 0]
-        out[:, :, 1] -= 1j * fcol * Y[:, :, 1]
+        out += ifs * Y
         return out
 
     return rhs
@@ -235,18 +241,20 @@ def _integrate_batch(rhs, Y0, x0, x1, atol=1e-12, rtol=1e-11):
     return y
 
 
-def _jost_batch(profile, ks, side, cut_side="off", atol=1e-12, rtol=1e-11):
-    """Psi_side(0, 0, k) for an array of spectral points; shape (m, 2, 2)."""
+def _jost_batch(profile, ks, side, cut_side="off", atol=1e-12, rtol=1e-11,
+                cols=(0, 1)):
+    """Columns ``cols`` of Psi_side(0, 0, k) for an array of spectral points;
+    shape (m, 2, len(cols))."""
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     if cut_side == "minus":
         eps = _CUT_OFFSET * profile.A
-        v1 = _jost_batch(profile, ks + eps, side, "off", atol, rtol)
-        v2 = _jost_batch(profile, ks + 0.5 * eps, side, "off", atol, rtol)
+        v1 = _jost_batch(profile, ks + eps, side, "off", atol, rtol, cols)
+        v2 = _jost_batch(profile, ks + 0.5 * eps, side, "off", atol, rtol, cols)
         return 2.0 * v2 - v1
     fs = np.atleast_1d(f_branch(ks, profile.A))
-    Y0 = E_matrix(ks, profile.A)
+    Y0 = E_matrix(ks, profile.A)[:, :, list(cols)]
     x0 = -profile.support_L if side == 1 else profile.support_L
-    rhs = _jost_rhs(profile, ks, fs)
+    rhs = _jost_rhs(profile, ks, fs, cols)
     return _integrate_batch(rhs, Y0, x0, 0.0, atol=atol, rtol=rtol)
 
 
@@ -258,25 +266,46 @@ def jost_at_origin(profile, k, side, cut_side="off", atol=1e-12, rtol=1e-11):
     return out[0] if np.ndim(k) == 0 else out
 
 
-def scattering_data(profile, k, cut_side="off", atol=1e-12, rtol=1e-11):
+#: each spectral function as det[Psi_i column c | Psi_j column d],
+#: written ((i, c), (j, d))
+_DETERMINANTS = {
+    "a1": ((1, 0), (2, 1)),
+    "a2": ((2, 0), (1, 1)),
+    "b1": ((2, 0), (1, 0)),
+    "b2": ((2, 1), (1, 1)),
+}
+
+
+def scattering_data(profile, k, cut_side="off", atol=1e-12, rtol=1e-11,
+                    only=None):
     """Spectral functions (a1, a2, b1, b2) at k via Jost column determinants.
 
     a1 is meaningful on the closed upper half plane minus (0, iA], a2 on the
-    lower counterpart; b1, b2 on the real line and on the cut side.
+    lower counterpart; b1, b2 on the real line and on the cut side.  With
+    ``only`` set to one of the four names, just that function is returned,
+    and only the two Jost columns of its determinant are integrated.
     """
+    if only is not None and only not in _DETERMINANTS:
+        raise ValueError(f"unknown spectral function {only!r}")
     scalar = np.ndim(k) == 0
-    psi1 = _jost_batch(profile, k, 1, cut_side, atol, rtol)
-    psi2 = _jost_batch(profile, k, 2, cut_side, atol, rtol)
+    names = list(_DETERMINANTS) if only is None else [only]
+    columns = {}
+    for side in (1, 2):
+        cols = sorted({c for name in names
+                       for s, c in _DETERMINANTS[name] if s == side})
+        psi = _jost_batch(profile, k, side, cut_side, atol, rtol, cols)
+        for j, c in enumerate(cols):
+            columns[side, c] = psi[:, :, j]
     # off the real axis only some column pairs are numerically meaningful
     # (matching the analyticity domains), so ignore overflow in the others
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = psi1[:, 0, 0] * psi2[:, 1, 1] - psi1[:, 1, 0] * psi2[:, 0, 1]
-        a2 = psi2[:, 0, 0] * psi1[:, 1, 1] - psi2[:, 1, 0] * psi1[:, 0, 1]
-        b1 = psi2[:, 0, 0] * psi1[:, 1, 0] - psi2[:, 1, 0] * psi1[:, 0, 0]
-        b2 = psi2[:, 0, 1] * psi1[:, 1, 1] - psi2[:, 1, 1] * psi1[:, 0, 1]
+        for name in names:
+            u, v = (columns[col] for col in _DETERMINANTS[name])
+            out.append(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     if scalar:
-        return complex(a1[0]), complex(a2[0]), complex(b1[0]), complex(b2[0])
-    return a1, a2, b1, b2
+        out = [complex(d[0]) for d in out]
+    return tuple(out) if only is None else out[0]
 
 
 def reflection(profile, k, cut_side="off", atol=1e-12, rtol=1e-11):
@@ -447,15 +476,23 @@ def _winding_on_polyline(eval_fn, verts, n_init=48, max_rounds=14):
     return int(round(n))
 
 
+def winding_k_stop(ray, A):
+    """Right end of the stretch of the negative axis over which a ray's
+    asymptotics read the argument of 1 + r1*r2: up to the stationary point
+    k1 < -A/sqrt(2) in the plane-wave region, up to the cut otherwise."""
+    return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A
+
+
 def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
                          boundary_threshold=1e-6, ode_tol=1e-9):
     """Check the two standing assumptions for one ray.
 
     Zero counts come from argument-principle winding of a1 (upper half plane,
     sleeve cut out around (0, iA]) and a2 (mirrored); the winding bound uses
-    the unwrapped argument table of 1 + r1*r2 up to the region's k_stop.
-    Winding only needs phases to a fraction of pi, hence the looser ODE
-    tolerance default.
+    the unwrapped argument table of 1 + r1*r2 up to ``winding_k_stop``.
+    Each contour integrates only the two Jost columns of its own
+    determinant, the ones that stay bounded in its half plane.  Winding only
+    needs phases to a fraction of pi, hence the looser ODE tolerance default.
     """
     if isinstance(spectral, InitialProfile):
         spectral = SpectralTable(spectral)
@@ -466,10 +503,12 @@ def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
     s = sleeve
 
     def a1_fn(pts):
-        return scattering_data(profile, pts, atol=ode_tol, rtol=ode_tol)[0]
+        return scattering_data(profile, pts, atol=ode_tol, rtol=ode_tol,
+                               only="a1")
 
     def a2_fn(pts):
-        return scattering_data(profile, pts, atol=ode_tol, rtol=ode_tol)[1]
+        return scattering_data(profile, pts, atol=ode_tol, rtol=ode_tol,
+                               only="a2")
 
     upper = [
         -K + 1j * eps, -s + 1j * eps, -s + 1j * (A + s), s + 1j * (A + s),
@@ -493,8 +532,7 @@ def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
             f"(min |a| = {min(min_a1, min_a2):.2e}); spectral singularity"
         )
 
-    k_stop = -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A
-    max_wind = spectral.max_abs_winding(k_stop)
+    max_wind = spectral.max_abs_winding(winding_k_stop(ray, A))
     return AssumptionReport(
         zero_count_upper=n_up,
         zero_count_lower=n_dn,

@@ -4,7 +4,7 @@ import pytest
 from nnlslab.background import E_matrix, classify_ray
 from nnlslab.scattering import (InitialProfile, SpectralTable, jost_at_origin,
                                 reflection, scattering_data,
-                                validate_assumptions)
+                                validate_assumptions, winding_k_stop)
 
 
 class TestInitialProfile:
@@ -153,13 +153,62 @@ class TestSpectralFunctions:
                               a + (b - a) * (j + 1) / npieces)
         nodes = np.concatenate(nodes)
         weights = np.concatenate(weights)
+        # boundary values from the two-column path, interior ones from the
+        # full Jost matrices: the reconstruction also cross-checks the two
         vals = scattering_data(verif_profile, nodes, atol=1e-11,
-                               rtol=1e-10)[0] - 1
+                               rtol=1e-10, only="a1") - 1
         targets = np.array([0.4 + 0.9j, -1.1 + 1.4j, 0.8 + 2.2j])
         direct = scattering_data(verif_profile, targets)[0] - 1
         for k, ref in zip(targets, direct):
             cauchy = np.sum(weights * vals / (nodes - k)) / (2j * np.pi)
             assert abs(cauchy - ref) < 1e-6
+
+
+def _validate_upper_contour(A, K=12.0, eps=1e-3, s=1e-3, per_edge=6):
+    """validate_assumptions' upper contour, vertices included: the sleeve
+    around (0, iA] and the corner K + iK."""
+    verts = [-K + 1j * eps, -s + 1j * eps, -s + 1j * (A + s), s + 1j * (A + s),
+             s + 1j * eps, K + 1j * eps, K + 1j * K, -K + 1j * K, -K + 1j * eps]
+    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
+    return np.concatenate([a + t * (b - a) for a, b in zip(verts[:-1], verts[1:])])
+
+
+class TestSingleDeterminant:
+    # validate's tolerance; the kept columns solve the same ODE as in the
+    # full matrix, so only the step controller differs between the paths
+    TOL = 1e-9
+
+    def test_a1_matches_full_path_upper(self, verif_profile):
+        ks = _validate_upper_contour(verif_profile.A)
+        one = scattering_data(verif_profile, ks, atol=self.TOL, rtol=self.TOL,
+                              only="a1")
+        full = scattering_data(verif_profile, ks, atol=self.TOL,
+                               rtol=self.TOL)[0]
+        assert np.max(np.abs(one - full) / np.abs(full)) < 1e-10
+
+    def test_a2_matches_full_path_lower(self, verif_profile):
+        ks = np.conj(_validate_upper_contour(verif_profile.A))
+        one = scattering_data(verif_profile, ks, atol=self.TOL, rtol=self.TOL,
+                              only="a2")
+        full = scattering_data(verif_profile, ks, atol=self.TOL,
+                               rtol=self.TOL)[1]
+        assert np.max(np.abs(one - full) / np.abs(full)) < 1e-10
+
+    def test_pure_background_far_off_axis(self, bg_profile):
+        ks = np.array([12j, 12 + 12j])
+        assert np.abs(scattering_data(bg_profile, ks, only="a1") - 1).max() < 1e-10
+        assert np.abs(scattering_data(bg_profile, np.conj(ks), only="a2")
+                      - 1).max() < 1e-10
+
+    def test_scalar_input(self, verif_profile):
+        k = 0.7 + 0.4j
+        a1 = scattering_data(verif_profile, k, only="a1")
+        assert isinstance(a1, complex)
+        assert abs(a1 - scattering_data(verif_profile, k)[0]) < 1e-10
+
+    def test_unknown_name(self, verif_profile):
+        with pytest.raises(ValueError):
+            scattering_data(verif_profile, 0.5, only="r1")
 
 
 class TestReflection:
@@ -202,6 +251,10 @@ class TestValidateAssumptions:
         assert rep.winding_ok
         assert rep.max_abs_winding < np.pi
 
+    def test_k_stop_by_region(self):
+        assert winding_k_stop(classify_ray(1.2, 0.5), 0.5) == -0.5 / np.sqrt(2.0)
+        assert winding_k_stop(classify_ray(0.35, 0.5), 0.5) == -0.5e-4
+
     def test_pure_background(self, bg_profile):
         rep = validate_assumptions(SpectralTable(bg_profile),
                                    classify_ray(2.0, 1.0))
@@ -217,6 +270,9 @@ class TestValidateAssumptions:
         tab = SpectralTable(prof)
         rep = validate_assumptions(tab, classify_ray(1.2, 0.5))
         assert rep.zero_count_upper >= 1
+        # an even profile couples like the local equation: a2(k) is
+        # conj(a1(conj k)), so the lower contour sees the mirrored zeros
+        assert rep.zero_count_lower == rep.zero_count_upper
         # oracle: locate the zero by a dense 2-d scan of |a1| (it sits on the
         # imaginary axis just above iA, so mask only up to the cut endpoint)
         xs = np.linspace(-0.4, 0.4, 17)
