@@ -12,8 +12,8 @@ run per side adds the per-layer times and k-point counts, and a separate
 fresh process per side counts the Jost right-hand-side evaluations of the
 line table and of ``validate_assumptions`` on the README config.
 
-A run on this 2-core VM takes about 40-100 s, so the whole comparison
-takes 30-50 minutes.
+On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
+about 35 minutes.  Temporary trees go to ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ for stage, work in (
     calls[0] = 0
     t0 = time.perf_counter()
     work()
+    # each tried DP5(4) step evaluates the RHS at its 7 stages
     out[stage] = {"s": time.perf_counter() - t0, "rhs_calls": calls[0],
                   "dp_steps_tried": calls[0] // 7}
 print(json.dumps(out))
@@ -77,7 +78,7 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def perfbench(tree, workload, seed, seconds, trace):
+def run_perfbench(tree, workload, seed, seconds, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -136,8 +137,9 @@ def main(argv):
             pairs = []
             for i in range(n):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {side: perfbench(trees[side], workload, SEEDS[workload],
-                                        seconds, 0) for side in order}
+                pair = {side: run_perfbench(trees[side], workload,
+                                            SEEDS[workload], seconds, 0)
+                        for side in order}
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{n}: wall_s "
                       f"{pair['base']['metrics']['wall_s']:.2f} -> "
@@ -146,7 +148,7 @@ def main(argv):
                 "seed": SEEDS[workload], "pairs": pairs,
                 "summary": summary(pairs, better)}
         for side in revs:
-            result["traced"][side] = perfbench(
+            result["traced"][side] = run_perfbench(
                 trees[side], "compare_readme", SEEDS["compare_readme"], seconds, 1)
             proc = subprocess.run(
                 [sys.executable, "-c", WORK_COUNTS, os.path.join(trees[side], "src"),
