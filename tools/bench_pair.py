@@ -6,14 +6,17 @@ Run from inside the git checkout.  Both revisions are exported with
 ``git archive`` into a temporary directory, so each side runs from its
 committed files only.  ``perfbench/run.py`` then runs on the two trees in
 alternating pairs (the side that goes first alternates too): ten pairs on
-``compare_readme`` with seed 2, three on each other workload, each run as
-long as ``run_seconds`` in BENCHMARK.json.  One traced ``compare_readme``
-run per side adds the per-layer times and k-point counts, and a separate
-fresh process per side counts the Jost right-hand-side evaluations of the
-line table and of ``validate_assumptions`` on the README config.
+``compare_readme`` (seed 2) and on ``ray_sweep`` (seed 0, the seed whose
+ray constants ``reference.json`` holds), three on ``simulate_export``, each
+run as long as ``run_seconds`` in BENCHMARK.json.  One traced run per side
+of ``compare_readme`` and of ``ray_sweep`` adds the per-layer times and
+k-point counts, and a separate fresh process per side counts the Jost work
+of the line table and of ``validate_assumptions`` on the README config:
+right-hand-side calls on trees with the adaptive DP5(4) solver, Magnus cell
+steps times k-points on trees without it.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
-about 35 minutes.  Temporary trees go to ``TMPDIR``.
+about 45 minutes.  Temporary trees go to ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import tempfile
 
 import numpy as np
 
-PAIRS = {"compare_readme": 10, "ray_sweep": 3, "simulate_export": 3}
-SEEDS = {"compare_readme": 2, "ray_sweep": 1, "simulate_export": 1}
+PAIRS = {"compare_readme": 10, "ray_sweep": 10, "simulate_export": 3}
+SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
+TRACED = ("compare_readme", "ray_sweep")
 
-#: counts Jost RHS evaluations in a fresh process; argv[1] is a source tree
+#: counts Jost work in a fresh process; argv[1] is a source tree
 WORK_COUNTS = r"""
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -39,16 +43,30 @@ from nnlslab.background import classify_ray
 from nnlslab.harness import RunConfig
 
 calls = [0]
-jost_rhs = sc._jost_rhs
+if hasattr(sc, "_jost_rhs"):
+    # adaptive DP5(4): every right-hand-side evaluation
+    unit = "rhs_calls"
+    jost_rhs = sc._jost_rhs
 
-def counting(*args, **kwargs):
-    rhs = jost_rhs(*args, **kwargs)
-    def counted(x, Y):
-        calls[0] += 1
-        return rhs(x, Y)
-    return counted
+    def counting(*args, **kwargs):
+        rhs = jost_rhs(*args, **kwargs)
+        def counted(x, Y):
+            calls[0] += 1
+            return rhs(x, Y)
+        return counted
 
-sc._jost_rhs = counting
+    sc._jost_rhs = counting
+else:
+    # Magnus on the sample cells: cell steps times k-points, where a side
+    # has samples // 2 sample cells, each cut into `split` parts
+    unit = "magnus_cell_kpoints"
+    propagate = sc._propagate
+
+    def counting(profile, side, split, ks, *args):
+        calls[0] += profile.samples.size // 2 * split * ks.size
+        return propagate(profile, side, split, ks, *args)
+
+    sc._propagate = counting
 cfg = RunConfig.from_json(sys.argv[2])
 table = sc.SpectralTable(cfg.profile)
 out = {}
@@ -59,9 +77,10 @@ for stage, work in (
     calls[0] = 0
     t0 = time.perf_counter()
     work()
-    # each tried DP5(4) step evaluates the RHS at its 7 stages
-    out[stage] = {"s": time.perf_counter() - t0, "rhs_calls": calls[0],
-                  "dp_steps_tried": calls[0] // 7}
+    out[stage] = {"s": time.perf_counter() - t0, unit: calls[0]}
+    if unit == "rhs_calls":
+        # each tried DP5(4) step evaluates the RHS at its 7 stages
+        out[stage]["dp_steps_tried"] = calls[0] // 7
 print(json.dumps(out))
 """
 
@@ -148,8 +167,10 @@ def main(argv):
                 "seed": SEEDS[workload], "pairs": pairs,
                 "summary": summary(pairs, better)}
         for side in revs:
-            result["traced"][side] = run_perfbench(
-                trees[side], "compare_readme", SEEDS["compare_readme"], seconds, 1)
+            result["traced"][side] = {
+                workload: run_perfbench(trees[side], workload, SEEDS[workload],
+                                        seconds, 1)
+                for workload in TRACED}
             proc = subprocess.run(
                 [sys.executable, "-c", WORK_COUNTS, os.path.join(trees[side], "src"),
                  json.dumps(README_CONFIG)],
