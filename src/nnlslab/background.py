@@ -24,10 +24,6 @@ __all__ = [
     "stationary_points",
 ]
 
-#: offset used for cut-side limits, relative to A
-_CUT_OFFSET = 1e-8
-
-
 class RayRegion(enum.Enum):
     PLANE_WAVE = "plane_wave"
     ELLIPTIC_WAVE = "elliptic_wave"
@@ -78,21 +74,15 @@ def _check_endpoints(k, A):
         raise ValueError("evaluation at the branch points +-iA")
 
 
-def _cut_limit(fn, k, A):
-    """Right-side (minus) limit onto the cut via offset + Richardson."""
-    eps = _CUT_OFFSET * A
-    return 2.0 * fn(k + 0.5 * eps) - fn(k + eps)
-
-
 def f_branch(k, A, on_cut_side="off"):
     """f(k) = (k^2 + A^2)^(1/2), analytic off [-iA, iA], f(k) ~ k at infinity.
 
     On the cut the stored convention is the right-side limit, which equals
-    +sqrt(k^2 + A^2) > 0 there.
+    +sqrt(k^2 + A^2) > 0 there.  Plain evaluation on the cut already gives
+    it, by the angle ranges of ``_angle_cut_down``, so ``on_cut_side="minus"``
+    and the default agree.
     """
     _check_endpoints(k, A)
-    if on_cut_side == "minus":
-        return _cut_limit(lambda kk: f_branch(kk, A), np.asarray(k, dtype=complex), A)
     k = np.asarray(k, dtype=complex)
     phi = _angle_cut_down(k - 1j * A) + _angle_cut_down(k + 1j * A)
     mod = np.sqrt(np.abs(k - 1j * A) * np.abs(k + 1j * A))
@@ -101,10 +91,11 @@ def f_branch(k, A, on_cut_side="off"):
 
 
 def w_branch(k, A, on_cut_side="off"):
-    """w(k) = ((k - iA)/(k + iA))^(1/4), analytic off [-iA, iA], w -> 1 at oo."""
+    """w(k) = ((k - iA)/(k + iA))^(1/4), analytic off [-iA, iA], w -> 1 at oo.
+
+    On the cut, plain evaluation gives the right-side (minus) limit, as for
+    ``f_branch``."""
     _check_endpoints(k, A)
-    if on_cut_side == "minus":
-        return _cut_limit(lambda kk: w_branch(kk, A), np.asarray(k, dtype=complex), A)
     k = np.asarray(k, dtype=complex)
     phi = _angle_cut_down(k - 1j * A) - _angle_cut_down(k + 1j * A)
     mod = (np.abs(k - 1j * A) / np.abs(k + 1j * A)) ** 0.25

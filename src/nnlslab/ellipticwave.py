@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, CubicSpline
+from scipy.interpolate import BarycentricInterpolator
 
-from .background import f_branch
+from .background import _angle_cut_down, f_branch
 from .numerics import (ComplexPath, PhaseUnwrapError, bracket_root,
                        cauchy_segment, continuous_log, quad_path, theta3)
 from .planewave import _lndelta_on_B, log_delta
@@ -84,11 +84,6 @@ class EllipticData:
     @property
     def xi(self):
         return self.surface.xi
-
-
-def _angle_cut_down(z):
-    a = np.angle(z)
-    return a + 2.0 * np.pi * (a < -np.pi / 2)
 
 
 def gamma2(k, alpha):
@@ -203,11 +198,9 @@ def _segments_cross(a1, b1, a2, b2):
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
-def build_surface(xi, A, spectral=None, tol=1e-10, offset=_CYCLE_OFFSET):
-    """Solve for k0, fix alpha, and normalize the genus-1 periods.
-
-    The surface is determined by (xi, A) alone; ``spectral`` is accepted for
-    interface symmetry with the other ray constructors and ignored."""
+def build_surface(xi, A, tol=1e-10, offset=_CYCLE_OFFSET):
+    """Solve for k0, fix alpha, and normalize the genus-1 periods; the
+    surface is determined by (xi, A) alone."""
     k0 = solve_k0(xi, A, tol=tol)
     alpha = alpha_of(k0, xi, A)
     band_u = ComplexPath.segment(k0, alpha, "log", "inverse_sqrt")
@@ -347,25 +340,52 @@ def h_machinery(surface, xi=None, tol=1e-10, _raw=False):
     return float(H_inf.real), float(Omega.real), h
 
 
-def _sample_band_log(spectral, path, component, n=240, max_doublings=4):
-    """Continuous log of a reflection coefficient along a band contour,
-    anchored at the principal branch at the k0 end."""
-    a, b = path.vertices[0], path.vertices[-1]
+def _chebyshev_t(n):
+    """n Chebyshev points of the first kind in (0, 1), descending."""
+    j = np.arange(n)
+    return 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * n)))
+
+
+def _band_nodes(surface):
+    """Chebyshev nodes per band for the logs of r1 and r2.
+
+    Their nearest singularity is the branch point iA (-iA for the lower
+    band).  With rho the Bernstein-ellipse parameter of the band through it,
+    the interpolation error falls like rho^-n; n is chosen so that rho^-n
+    < e^-25, and at least 48."""
+    k0, alpha = surface.k0, surface.alpha
+    u = 2.0 * (1j * surface.A - k0) / (alpha - k0) - 1.0
+    root = np.sqrt(u * u - 1.0)
+    rho = max(abs(u + root), abs(u - root))
+    return max(48, int(np.ceil(25.0 / np.log(rho))))
+
+
+def _sample_band_logs(spectral, surface, max_doublings=4):
+    """Interpolants in t of the continuous logs of r1 on the upper band and
+    r2 on the lower band, each z = k0 + t (end - k0), anchored at the
+    principal branch at t = 0.
+
+    Both bands go through one reflection batch at ``_band_nodes`` Chebyshev
+    nodes plus the two ends; their number doubles while the phase cannot be
+    unwrapped."""
+    n = _band_nodes(surface)
+    k0 = surface.k0
     for _ in range(max_doublings + 1):
-        ts = np.linspace(0.0, 1.0, n)
-        pts = a + ts * (b - a)
+        ts = np.concatenate([[0.0], _chebyshev_t(n)[::-1], [1.0]])
+        pts = np.concatenate([k0 + ts * (surface.alpha - k0),
+                              k0 + ts * (np.conj(surface.alpha) - k0)])
         r1, r2 = spectral.reflection_at(pts)
-        vals = r1 if component == 1 else r2
-        if np.any(np.abs(vals) < 1e-10):
-            raise ValueError(
-                f"r{component} nearly vanishes on the band contour"
-            )
+        bands = (r1[:ts.size], r2[ts.size:])
+        for component, vals in zip((1, 2), bands):
+            if np.any(np.abs(vals) < 1e-10):
+                raise ValueError(
+                    f"r{component} nearly vanishes on the band contour"
+                )
         try:
-            logs = continuous_log(vals)
+            return tuple(BarycentricInterpolator(ts, continuous_log(v))
+                         for v in bands)
         except PhaseUnwrapError:
             n *= 2
-            continue
-        return CubicSpline(ts, logs)
     raise PhaseUnwrapError("band-contour log did not stabilize")
 
 
@@ -378,14 +398,10 @@ class _BandDelta:
         self.a = path.vertices[0]
         self.b = path.vertices[-1]
         self.nu = -spectral.log_rr(self.k0) / (2.0 * np.pi)
-        j = np.arange(n)
-        # Chebyshev nodes in (0, 1), open at both ends
-        ts = 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * n)))
+        ts = _chebyshev_t(n)
         pts = self.a + ts * (self.b - self.a)
-        vals = np.array(
-            [log_delta(z, self.k0, spectral) - 1j * self.nu * np.log(self.k0 - z)
-             for z in pts]
-        )
+        vals = (log_delta(pts, self.k0, spectral)
+                - 1j * self.nu * np.log(self.k0 - pts))
         self._interp = BarycentricInterpolator(ts, vals)
 
     def __call__(self, z):
@@ -409,8 +425,7 @@ def g_machinery(surface, spectral, k0=None, tol=1e-9):
     A = surface.A
     alpha = surface.alpha
 
-    lnr1 = _sample_band_log(spectral, surface.band_upper, 1)
-    lnr2 = _sample_band_log(spectral, surface.band_lower, 2)
+    lnr1, lnr2 = _sample_band_logs(spectral, surface)
     bd_u = _BandDelta(spectral, k0, surface.band_upper)
     bd_l = _BandDelta(spectral, k0, surface.band_lower)
     lnd_B = _lndelta_on_B(k0, spectral)
@@ -537,22 +552,17 @@ def elliptic_eval(ed, t):
     amp = s.A + s.alpha.imag
     phase = np.exp(2j * (t * ed.H_inf + ed.G_inf.real))
 
-    def ratio(arg_shift, v, cc):
-        num = theta3(arg_shift - v + cc, tau) * theta3(v + cc, tau)
-        den = theta3(arg_shift + v + cc, tau) * theta3(-v + cc, tau)
-        if abs(den) < 1e-12 * max(1.0, abs(num)):
-            raise RuntimeError("theta denominator vanished at this t")
-        return num / den
-
     base = ed.Omega * t / (2.0 * np.pi) - 0.25
-    q_plus = (
-        amp * np.exp(-2.0 * ed.G_inf.imag)
-        * ratio(base + ed.omega / (2.0 * np.pi), ed.v_inf, ed.c) * phase
-    )
-    vq = np.conj(ed.v_inf)
-    cq = np.conj(ed.c)
-    q_minus = (
-        amp * np.exp(2.0 * ed.G_inf.imag)
-        * ratio(base + np.conj(ed.omega) / (2.0 * np.pi), -vq, -cq) * phase
-    )
+    # theta-function ratios for q_plus (v, c) and q_minus (-conj v, -conj c)
+    shift = base + np.array([ed.omega, np.conj(ed.omega)]) / (2.0 * np.pi)
+    v = np.array([ed.v_inf, -np.conj(ed.v_inf)])
+    cc = np.array([ed.c, -np.conj(ed.c)])
+    th = theta3(np.stack([shift - v + cc, v + cc, shift + v + cc, -v + cc]), tau)
+    num = th[0] * th[1]
+    den = th[2] * th[3]
+    if np.any(np.abs(den) < 1e-12 * np.maximum(1.0, np.abs(num))):
+        raise RuntimeError("theta denominator vanished at this t")
+    ratio = num / den
+    q_plus = amp * np.exp(-2.0 * ed.G_inf.imag) * ratio[0] * phase
+    q_minus = amp * np.exp(2.0 * ed.G_inf.imag) * ratio[1] * phase
     return complex(q_plus), complex(q_minus)

@@ -162,53 +162,58 @@ def gauss_legendre(f, a, b, n=15):
 
 
 def _adaptive_panels(f, a, b, seeds, tol, max_panels, n=15):
-    """Batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
+    """Level-batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
 
     ``seeds`` is a list of (t_lo, t_hi) panels covering the wanted range.
     Accepts a panel when |I_panel - I_left - I_right| <= tol * panel_fraction.
+    All panels of one refinement level go to the integrand in a single call.
     """
     x, w = _gl_nodes(n)
     span = b - a
 
     def rule(tlo, thi):
+        # one n-point rule on each panel [tlo[j], thi[j]]
         tm = 0.5 * (tlo + thi)
         th = 0.5 * (thi - tlo)
-        nodes = a + (tm + th * x) * span
-        vals = np.asarray(f(nodes))
+        nodes = a + (tm[:, None] + th[:, None] * x) * span
+        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("non-finite integrand value on path interior")
-        return th * span * np.sum(w * vals)
+        return th * span * (vals @ w)
 
-    total_t = sum(thi - tlo for tlo, thi in seeds)
-    active = [(tlo, thi, rule(tlo, thi), np.inf) for tlo, thi in seeds]
+    tlo, thi = (np.array(t, dtype=float) for t in zip(*seeds))
+    total_t = float(np.sum(thi - tlo))
+    whole = rule(tlo, thi)
+    parent_err = np.full(tlo.size, np.inf)
     result = 0.0 + 0.0j
     # roundoff floor relative to the magnitude the rule actually sums over
-    scale = sum(abs(w) for _, _, w, _ in active)
+    scale = float(np.sum(np.abs(whole)))
     eps = np.finfo(float).eps
-    n_panels = len(active)
-    while active:
-        tlo, thi, whole, parent_err = active.pop()
+    n_panels = tlo.size
+    while tlo.size:
         tm = 0.5 * (tlo + thi)
-        left = rule(tlo, tm)
-        right = rule(tm, thi)
-        scale = max(scale, abs(left) + abs(right))
-        err = abs(whole - left - right)
+        halves = rule(np.concatenate([tlo, tm]), np.concatenate([tm, thi]))
+        left, right = halves[:tlo.size], halves[tlo.size:]
+        scale = max(scale, float(np.max(np.abs(left) + np.abs(right))))
+        err = np.abs(whole - left - right)
         frac = (thi - tlo) / total_t
         # integrand chains (splines, branch roots, cancelling kernels) carry
         # noise well above eps; stop when bisection no longer improves
-        stagnant = frac < 1e-4 and err > 0.25 * parent_err
-        if (err <= max(tol * max(frac, 1e-6), 450 * eps * scale)
-                or stagnant or (thi - tlo) < 1e-15):
-            result += left + right
-        else:
-            active.append((tlo, tm, left, err))
-            active.append((tm, thi, right, err))
-            n_panels += 2
-            if n_panels > max_panels:
-                raise QuadratureError(
-                    f"quadrature did not converge within {max_panels} panels "
-                    f"(last panel error {err:.2e})"
-                )
+        stagnant = (frac < 1e-4) & (err > 0.25 * parent_err)
+        done = ((err <= np.maximum(tol * np.maximum(frac, 1e-6), 450 * eps * scale))
+                | stagnant | ((thi - tlo) < 1e-15))
+        result += np.sum(left[done] + right[done])
+        split = ~done
+        n_panels += 2 * int(np.count_nonzero(split))
+        if n_panels > max_panels:
+            raise QuadratureError(
+                f"quadrature did not converge within {max_panels} panels "
+                f"(last panel error {np.max(err[split]):.2e})"
+            )
+        tlo, tm, thi = tlo[split], tm[split], thi[split]
+        tlo, thi = np.concatenate([tlo, tm]), np.concatenate([tm, thi])
+        whole = np.concatenate([left[split], right[split]])
+        parent_err = np.concatenate([err[split], err[split]])
     return result
 
 

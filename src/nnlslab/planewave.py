@@ -17,10 +17,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
 
 from .background import f_branch, stationary_points, theta_phase, w_branch
-from .numerics import ComplexPath, cauchy_segment, gamma_complex, quad_path
+from .numerics import (ComplexPath, QuadratureError, cauchy_segment,
+                       gamma_complex, quad_path)
 
 __all__ = [
     "PlaneWaveData",
@@ -40,6 +42,14 @@ __all__ = [
 #: constants c1..c4 are zeroed below this size of |r1*r2| at the stationary
 #: point, where the Gamma-pole cancellation makes the closed forms 0/0
 _SMALL_REFLECTION = 1e-14
+
+#: log_delta integrates a line-table cell in closed form when the point lies
+#: within this many cell half-widths of the cell's midpoint; beyond it the
+#: 4-point Gauss-Legendre error is below 1e-12 of the cell's share
+_NEAR_HALF_WIDTHS = 16
+_GL4_X, _GL4_W = leggauss(4)
+#: floats in each of the two point-by-node temporaries of log_delta (512 KiB)
+_CHUNK_ELEMENTS = 2**16
 
 
 class WindingError(RuntimeError):
@@ -98,19 +108,74 @@ def _line_phi(spectral):
     return lambda z: spectral.log_rr(np.real(z))
 
 
-def log_delta(k, k_end, spectral, tol=1e-11):
-    """log of the lower-half-line factorization function delta(k, k_end)."""
-    phi = _line_phi(spectral)
-    val = cauchy_segment(phi, -spectral.k_tail, float(k_end), complex(k), tol=tol)
-    return val / (2j * np.pi)
+def log_delta(ks, k_end, spectral):
+    """log of the lower-half-line factorization function delta(k, k_end).
+
+    The Cauchy transform (1/2 pi i) int_{-k_tail}^{k_end} S(s)/(s - k) ds of
+    the line table's cubic spline S, taken exactly cell by cell at an array
+    of points ``ks`` off the path (product integration).  On a cell [a, b]
+    near k, the quotient (S(s) - S(k))/(s - k) is a quadratic in s and is
+    integrated in closed form, plus S(k) log((b - k)/(a - k)); the last cell
+    is cut at ``k_end``.  Far cells use 4-point Gauss-Legendre, summed as
+    one matrix product over the nodes.
+    """
+    spline = spectral.line_spline
+    knots = spline.x
+    k_end = float(k_end)
+    if k_end > knots[-1] + 1e-12:
+        raise ValueError(f"log_rr table covers k <= {knots[-1]:g}")
+    m = int(np.searchsorted(knots, k_end))
+    a = knots[:m]
+    h = np.append(knots[1:m], k_end) - a
+    d3, d2, d1, d0 = spline.c[:, :m]
+    u = 0.5 * h[:, None] * (1.0 + _GL4_X)
+    nodes = (a[:, None] + u).ravel()
+    vals = ((d3[:, None] * u + d2[:, None]) * u + d1[:, None]) * u + d0[:, None]
+    wv = (0.5 * h[:, None] * _GL4_W * vals).ravel()
+    wv = np.stack([wv.real, wv.imag], axis=1)
+    mid = a + 0.5 * h
+    near_r2 = (0.5 * _NEAR_HALF_WIDTHS * h) ** 2
+
+    k = np.asarray(ks, dtype=complex)
+    flat = k.ravel()
+    on_path = (flat.imag == 0.0) & (flat.real >= knots[0]) & (flat.real <= k_end)
+    if np.any(on_path) and m:
+        raise QuadratureError("Cauchy kernel pole lies on the path")
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // max(nodes.size, 1))
+    for lo in range(0, flat.size, step):
+        kc = flat[lo:lo + step]
+        x, y = kc.real[:, None], kc.imag[:, None]
+        # 1/(s - k) = (s - x + i y) / ((s - x)^2 + y^2) at every node s
+        dx = nodes - x
+        inv = dx * dx
+        inv += y * y
+        np.reciprocal(inv, out=inv)
+        pi, ci = np.nonzero((mid - x) ** 2 + y * y < near_r2)
+        inv.reshape(kc.size, m, 4)[pi, ci, :] = 0.0
+        im = inv @ wv
+        dx *= inv
+        re = dx @ wv
+        far = re[:, 0] + 1j * re[:, 1] + 1j * kc.imag * (im[:, 0] + 1j * im[:, 1])
+        z = kc[pi] - a[ci]
+        hc = h[ci]
+        quad = hc * (d1[ci] + d2[ci] * (0.5 * hc + z)
+                     + d3[ci] * (hc * hc / 3.0 + 0.5 * z * hc + z * z))
+        pz = ((d3[ci] * z + d2[ci]) * z + d1[ci]) * z + d0[ci]
+        near = quad + pz * np.log((hc - z) / -z)
+        out[lo:lo + step] = far + (
+            np.bincount(pi, near.real, kc.size)
+            + 1j * np.bincount(pi, near.imag, kc.size))
+    out = (out / (2j * np.pi)).reshape(k.shape)
+    return out if out.ndim else complex(out)
 
 
-def delta_fn(k, k1, spectral, tol=1e-11):
+def delta_fn(k, k1, spectral):
     """delta(k, k1) = exp{(1/2 pi i) int_{-inf}^{k1} log(1+r1 r2)/(z-k) dz}.
 
     Only defined off the half-line (-inf, k1]."""
     _check_winding(spectral, k1)
-    return np.exp(log_delta(k, k1, spectral, tol=tol))
+    return np.exp(log_delta(k, k1, spectral))
 
 
 def chi_fn(k, k_end, spectral, tol=1e-11):
@@ -152,13 +217,12 @@ def local_exponents(k1, spectral):
     return nu, chi, Delta
 
 
-def _lndelta_on_B(k1, spectral, n=96, tol=1e-11):
+def _lndelta_on_B(k1, spectral, n=96):
     """Barycentric interpolant of log delta(i y, k1) at Chebyshev nodes."""
     A = spectral.A
     j = np.arange(n)
     y = A * (1.0 - 1e-9) * np.cos(np.pi * (2 * j + 1) / (2 * n))
-    vals = np.array([log_delta(1j * yy, k1, spectral, tol=tol) for yy in y])
-    return BarycentricInterpolator(y, vals)
+    return BarycentricInterpolator(y, log_delta(1j * y, k1, spectral))
 
 
 def F_fn(k, k1, spectral, tol=1e-10, _interp=None):

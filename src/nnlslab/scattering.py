@@ -490,6 +490,13 @@ class SpectralTable:
             self._build_line()
         return self._line["k_tail"]
 
+    @property
+    def line_spline(self):
+        """The CubicSpline of log(1 + r1*r2) on [-k_tail, k_hi] behind log_rr."""
+        if self._line is None:
+            self._build_line()
+        return self._line["spline"]
+
     def log_rr(self, k):
         """Unwrapped log(1 + r1*r2) on the negative real axis (spline table).
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nnlslab.ellipticwave as ew
 from nnlslab.ellipticwave import (abel_constants, alpha_of, build_surface,
                                   elliptic_data, elliptic_eval, g_machinery,
                                   gamma2, gamma_rs, h_machinery,
@@ -207,6 +208,17 @@ class TestGMachinery:
         with pytest.raises(ValueError):
             g_machinery(surface, SpectralTable(bg_profile))
 
+    def test_band_logs_converged_on_small_xi(self, verif_table, monkeypatch):
+        # the band end alpha sits 0.03 from the branch point iA here, the
+        # slowest-converging band of the benchmark's seed-0 rays
+        surf = build_surface(0.09313735206876265, A)
+        omega, G_inf, _ = g_machinery(surf, verif_table)
+        nodes = ew._band_nodes
+        monkeypatch.setattr(ew, "_band_nodes", lambda s: 2 * nodes(s))
+        omega2, G_inf2, _ = g_machinery(surf, verif_table)
+        assert abs(omega2 - omega) < 1e-11
+        assert abs(G_inf2 - G_inf) < 1e-11
+
 
 class TestAbelConstants:
     def test_khat0_formula(self, surface):
@@ -271,6 +283,28 @@ class TestEllipticEval:
         # as xi -> sqrt(2) A the amplitude factor A + Im alpha -> A
         surf = build_surface(1.41, 1.0)
         assert abs((1.0 + surf.alpha.imag) - 1.0) < 0.1
+
+    def test_against_per_call_theta3(self, edata):
+        s = edata.surface
+        amp = A + s.alpha.imag
+        tau = s.tau
+
+        def ratio(shift, v, cc):
+            return theta3(shift - v + cc, tau) * theta3(v + cc, tau) / (
+                theta3(shift + v + cc, tau) * theta3(-v + cc, tau)
+            )
+
+        for t in (0.7, 9.3, 31.4):
+            base = edata.Omega * t / (2 * np.pi) - 0.25
+            phase = np.exp(2j * (t * edata.H_inf + edata.G_inf.real))
+            qp = amp * np.exp(-2 * edata.G_inf.imag) * phase * ratio(
+                base + edata.omega / (2 * np.pi), edata.v_inf, edata.c)
+            qm = amp * np.exp(2 * edata.G_inf.imag) * phase * ratio(
+                base + np.conj(edata.omega) / (2 * np.pi),
+                -np.conj(edata.v_inf), -np.conj(edata.c))
+            got_p, got_m = elliptic_eval(edata, t)
+            assert abs(got_p - qp) < 1e-14
+            assert abs(got_m - qm) < 1e-14
 
     def test_t_positive_required(self, edata):
         with pytest.raises(ValueError):

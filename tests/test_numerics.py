@@ -112,6 +112,49 @@ class TestQuadPath:
         val = quad_path(np.log, path, tol=1e-12)
         assert abs(val - (-1.0)) < 1e-10
 
+    @pytest.mark.parametrize("tags, a, b, f, exact", [
+        (("none", "none"), 0, 1, np.exp, np.e - 1),
+        (("inverse_sqrt", "none"), 0, 1, lambda z: z**-0.5, 2.0),
+        (("none", "inverse_sqrt"), 0, 1, lambda z: (1 - z) ** -0.5, 2.0),
+        (("inverse_sqrt", "inverse_sqrt"), 0, 1,
+         lambda z: 1 / np.sqrt(z * (1 - z)), np.pi),
+        (("log", "none"), 0, 1, np.log, -1.0),
+        (("none", "log"), 1, 0, np.log, 1.0),
+        (("log", "log"), 0, 1, lambda z: np.log(z) * (1 - z), -0.75),
+        (("log", "inverse_sqrt"), 0, 1, lambda z: np.log(z) / np.sqrt(1 - z),
+         4 * np.log(2) - 4),
+        (("inverse_sqrt", "log"), 1, 0, lambda z: np.log(z) / np.sqrt(1 - z),
+         4 - 4 * np.log(2)),
+    ])
+    def test_closed_forms_by_endpoint_tags(self, tags, a, b, f, exact):
+        # a logarithmic end sits at the origin, where the graded mesh's
+        # offsets down to 1e-17 stay representable; the rotated copy runs
+        # along a complex direction
+        for rot in (1.0, np.exp(0.3j)):
+            path = ComplexPath.segment(rot * a, rot * b, *tags)
+            val = quad_path(lambda z: f(z / rot), path, tol=1e-12)
+            assert abs(val / rot - exact) < 1e-10
+
+    def test_refined_peak_closed_form(self):
+        # many refinement levels: a Lorentzian of width 1e-3 inside [0, 1]
+        w = 1e-3
+        f = lambda z: 1.0 / (w * w + (z - 0.3) ** 2)
+        exact = (np.arctan(0.7 / w) + np.arctan(0.3 / w)) / w
+        val = quad_path(f, ComplexPath.segment(0, 1), tol=1e-9)
+        assert abs(val - exact) < 1e-9 * exact
+
+    def test_one_integrand_call_per_level(self):
+        # all 29 graded seeds of a log end go to the integrand at once
+        sizes = []
+
+        def f(z):
+            sizes.append(z.size)
+            return np.log(z)
+
+        quad_path(f, ComplexPath.segment(0, 1, "log", "none"), tol=1e-12)
+        assert sizes[0] == 29 * 15
+        assert len(sizes) < 12
+
     def test_interior_singularity_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(QuadratureError):

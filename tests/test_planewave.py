@@ -1,12 +1,16 @@
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from nnlslab.background import theta_phase
+from nnlslab.ellipticwave import build_surface
+from nnlslab.numerics import QuadratureError, cauchy_segment
 from nnlslab.planewave import (F_fn, F_inf, F_inf_split, SubleadingCase,
                                WindingError, chi_fn, delta_fn, local_exponents,
-                               planewave_eval, planewave_params,
+                               log_delta, planewave_eval, planewave_params,
                                subleading_case)
 
 A, XI = 0.5, 1.2
@@ -23,6 +27,11 @@ class ZeroReflectionTable:
         k = np.asarray(k, dtype=float)
         out = np.zeros_like(k, dtype=complex)
         return out if out.ndim else complex(out)
+
+    @property
+    def line_spline(self):
+        grid = np.linspace(-self.k_tail, -1e-4, 1601)
+        return CubicSpline(grid, self.log_rr(grid))
 
     def max_abs_winding(self, k_stop):
         return 0.0
@@ -199,3 +208,70 @@ class TestPlaneWaveEval:
             e1 = np.array([abs(planewave_eval(syn, t)[2]) for t in ts])
             slope = np.polyfit(np.log(ts), np.log(e1), 1)[0]
             assert abs(slope - expect) < 0.02
+
+
+class TestLogDelta:
+    """Product integration of the line table against adaptive Cauchy
+    integrals of the same spline, and against a 30-digit evaluation of the
+    per-cell closed form for points too close to the path for the adaptive
+    route."""
+
+    @staticmethod
+    def adaptive(ks, k_end, tab):
+        phi = lambda z: tab.log_rr(np.real(z))
+        return np.array([cauchy_segment(phi, -tab.k_tail, k_end, complex(k),
+                                        tol=1e-13) for k in ks]) / (2j * np.pi)
+
+    @staticmethod
+    def closed_form_mp(k, k_end, tab):
+        mp.mp.dps = 30
+        spline = tab.line_spline
+        x = spline.x
+        m = int(np.searchsorted(x, k_end))
+        k = mp.mpc(k.real, k.imag)
+        total = mp.mpc(0)
+        for i in range(m):
+            a = mp.mpf(x[i])
+            h = (mp.mpf(x[i + 1]) if i < m - 1 else mp.mpf(k_end)) - a
+            z = k - a
+            d3, d2, d1, d0 = (mp.mpc(c.real, c.imag) for c in spline.c[:, i])
+            quad = h * (d1 + d2 * (h / 2 + z) + d3 * (h * h / 3 + z * h / 2 + z * z))
+            pz = ((d3 * z + d2) * z + d1) * z + d0
+            total += quad + pz * mp.log((h - z) / -z)
+        return complex(total / (2j * mp.pi))
+
+    def test_band_and_B_nodes(self, verif_table):
+        surf = build_surface(0.35, A)
+        k0, alpha = surf.k0, surf.alpha
+        ts = 0.5 * (1 + np.cos(np.pi * (2 * np.arange(48) + 1) / 96))
+        y = A * (1 - 1e-9) * np.cos(np.pi * (2 * np.arange(96) + 1) / 192)
+        for ks, k_end in ((k0 + ts * (alpha - k0), k0),
+                          (k0 + ts * (np.conj(alpha) - k0), k0),
+                          (1j * y, k0), (1j * y, K1)):
+            got = log_delta(ks, k_end, verif_table)
+            assert np.abs(got - self.adaptive(ks, k_end, verif_table)).max() < 1e-12
+
+    def test_near_end_and_line(self, verif_table):
+        k0 = build_surface(0.35, A).k0
+        for ks, k_end in (
+                (k0 + np.array([1e-3, -2e-3 + 1e-3j, 1e-3 - 1e-3j]), k0),
+                (np.array([-0.7 - 1e-3j, -2.0 + 1e-3j, -3.1 + 1e-3j,
+                           -5.5 - 1e-3j, 1e4]), K1)):
+            got = log_delta(ks, k_end, verif_table)
+            assert np.abs(got - self.adaptive(ks, k_end, verif_table)).max() < 1e-12
+
+    def test_closest_points_against_closed_form(self, verif_table):
+        k0 = build_surface(0.35, A).k0
+        for k, k_end in ((k0 - 1e-4 + 1e-6j, k0), (k0 - 1e-3 + 1e-5j, k0),
+                         (k0 + 1e-8j, k0), (-1.3 + 1e-6j, K1),
+                         (-2.0 + 1e-9j, K1)):
+            got = log_delta(k, k_end, verif_table)
+            assert abs(got - self.closed_form_mp(k, k_end, verif_table)) < 1e-13
+
+    def test_shapes_and_pole_on_path(self, verif_table):
+        ks = np.array([[0.3 + 0.2j, -1.0 + 0.5j], [2.0j, -4.0 - 0.1j]])
+        got = log_delta(ks, K1, verif_table)
+        assert got.shape == ks.shape
+        assert abs(log_delta(ks[1, 0], K1, verif_table) - got[1, 0]) < 1e-17
+        with pytest.raises(QuadratureError):
+            log_delta(np.array([1j, K1 - 0.5]), K1, verif_table)

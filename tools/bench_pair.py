@@ -10,10 +10,12 @@ alternating pairs (the side that goes first alternates too): ten pairs on
 ray constants ``reference.json`` holds), three on ``simulate_export``, each
 run as long as ``run_seconds`` in BENCHMARK.json.  One traced run per side
 of ``compare_readme`` and of ``ray_sweep`` adds the per-layer times and
-k-point counts, and a separate fresh process per side counts the Jost work
-of the line table and of ``validate_assumptions`` on the README config:
-right-hand-side calls on trees with the adaptive DP5(4) solver, Magnus cell
-steps times k-points on trees without it.
+k-point counts, and a separate fresh process per side counts the work of
+three stages on the README config: the line table, ``validate_assumptions``
+and one ``elliptic_data`` at ``xi = 0.35``.  Jost work is counted as
+right-hand-side calls on trees with the adaptive DP5(4) solver and as Magnus
+cell steps times k-points on trees without it; the elliptic ray also counts
+the integrand calls of the adaptive quadrature and the points they get.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about 45 minutes.  Temporary trees go to ``TMPDIR``.
@@ -34,10 +36,12 @@ PAIRS = {"compare_readme": 10, "ray_sweep": 10, "simulate_export": 3}
 SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
 TRACED = ("compare_readme", "ray_sweep")
 
-#: counts Jost work in a fresh process; argv[1] is a source tree
+#: counts Jost and quadrature work in a fresh process; argv[1] is a source tree
 WORK_COUNTS = r"""
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
+import nnlslab.ellipticwave as ew
+import nnlslab.numerics as nm
 import nnlslab.scattering as sc
 from nnlslab.background import classify_ray
 from nnlslab.harness import RunConfig
@@ -67,20 +71,37 @@ else:
         return propagate(profile, side, split, ks, *args)
 
     sc._propagate = counting
+
+# every integrand call of the adaptive quadrature, and the points it gets
+integrand = {"integrand_calls": 0, "integrand_points": 0}
+adaptive_panels = nm._adaptive_panels
+
+def counting_panels(f, *args, **kwargs):
+    def counted(z):
+        integrand["integrand_calls"] += 1
+        integrand["integrand_points"] += z.size
+        return f(z)
+    return adaptive_panels(counted, *args, **kwargs)
+
+nm._adaptive_panels = counting_panels
 cfg = RunConfig.from_json(sys.argv[2])
 table = sc.SpectralTable(cfg.profile)
 out = {}
 for stage, work in (
         ("line_table", table._build_line),
         ("validate", lambda: sc.validate_assumptions(
-            table, classify_ray(max(cfg.rays), cfg.A)))):
+            table, classify_ray(max(cfg.rays), cfg.A))),
+        ("elliptic_ray", lambda: ew.elliptic_data(0.35, cfg.A, table))):
     calls[0] = 0
+    integrand.update(integrand_calls=0, integrand_points=0)
     t0 = time.perf_counter()
     work()
     out[stage] = {"s": time.perf_counter() - t0, unit: calls[0]}
     if unit == "rhs_calls":
         # each tried DP5(4) step evaluates the RHS at its 7 stages
         out[stage]["dp_steps_tried"] = calls[0] // 7
+    if stage == "elliptic_ray":
+        out[stage].update(integrand)
 print(json.dumps(out))
 """
 
