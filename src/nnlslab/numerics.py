@@ -172,7 +172,6 @@ def _adaptive_panels(f, a, b, seeds, tol, max_panels, n=15):
     span = b - a
 
     def rule(tlo, thi):
-        # one n-point rule on each panel [tlo[j], thi[j]]
         tm = 0.5 * (tlo + thi)
         th = 0.5 * (thi - tlo)
         nodes = a + (tm[:, None] + th[:, None] * x) * span
@@ -200,8 +199,8 @@ def _adaptive_panels(f, a, b, seeds, tol, max_panels, n=15):
         # integrand chains (splines, branch roots, cancelling kernels) carry
         # noise well above eps; stop when bisection no longer improves
         stagnant = (frac < 1e-4) & (err > 0.25 * parent_err)
-        done = ((err <= np.maximum(tol * np.maximum(frac, 1e-6), 450 * eps * scale))
-                | stagnant | ((thi - tlo) < 1e-15))
+        floor = np.maximum(tol * np.maximum(frac, 1e-6), 450 * eps * scale)
+        done = (err <= floor) | stagnant | ((thi - tlo) < 1e-15)
         result += np.sum(left[done] + right[done])
         split = ~done
         n_panels += 2 * int(np.count_nonzero(split))
