@@ -2,7 +2,7 @@
 background: direct scattering, plane-wave and modulated-elliptic ray
 asymptotics, and an independent split-step PDE oracle."""
 
-from .background import Background, Ray, RayRegion, classify_ray
+from .background import Ray, RayRegion, classify_ray
 from .ellipticwave import EllipticData, SurfaceData, elliptic_data, elliptic_eval
 from .harness import ComparisonReport, RunConfig, emit_report, run
 from .planewave import PlaneWaveData, planewave_eval, planewave_params
@@ -11,7 +11,7 @@ from .scattering import (AssumptionReport, InitialProfile, SpectralTable,
 from .simulator import FieldTrajectory, SimGrid, sample_ray, simulate
 
 __all__ = [
-    "Background", "Ray", "RayRegion", "classify_ray",
+    "Ray", "RayRegion", "classify_ray",
     "InitialProfile", "SpectralTable", "AssumptionReport",
     "validate_assumptions",
     "PlaneWaveData", "planewave_params", "planewave_eval",

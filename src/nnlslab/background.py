@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Background",
     "Ray",
     "RayRegion",
     "classify_ray",
@@ -28,15 +27,6 @@ class RayRegion(enum.Enum):
     PLANE_WAVE = "plane_wave"
     ELLIPTIC_WAVE = "elliptic_wave"
     TRANSITION = "transition"
-
-
-@dataclass(frozen=True)
-class Background:
-    A: float
-
-    def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError("background amplitude A must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,12 @@ def _check_endpoints(k, A):
         raise ValueError("evaluation at the branch points +-iA")
 
 
-def f_branch(k, A, on_cut_side="off"):
+def f_branch(k, A):
     """f(k) = (k^2 + A^2)^(1/2), analytic off [-iA, iA], f(k) ~ k at infinity.
 
-    On the cut the stored convention is the right-side limit, which equals
-    +sqrt(k^2 + A^2) > 0 there.  Plain evaluation on the cut already gives
-    it, by the angle ranges of ``_angle_cut_down``, so ``on_cut_side="minus"``
-    and the default agree.
+    On the cut the stored convention is the right-side (minus) limit, which
+    equals +sqrt(k^2 + A^2) > 0 there; plain evaluation on the cut gives it,
+    by the angle ranges of ``_angle_cut_down``.
     """
     _check_endpoints(k, A)
     k = np.asarray(k, dtype=complex)
@@ -90,7 +79,7 @@ def f_branch(k, A, on_cut_side="off"):
     return out if out.ndim else complex(out)
 
 
-def w_branch(k, A, on_cut_side="off"):
+def w_branch(k, A):
     """w(k) = ((k - iA)/(k + iA))^(1/4), analytic off [-iA, iA], w -> 1 at oo.
 
     On the cut, plain evaluation gives the right-side (minus) limit, as for
@@ -103,13 +92,13 @@ def w_branch(k, A, on_cut_side="off"):
     return out if out.ndim else complex(out)
 
 
-def E_matrix(k, A, on_cut_side="off"):
+def E_matrix(k, A):
     """The diagonalizer of the background Lax matrix, built from w(k).
 
     For array input of shape (...) the result has shape (..., 2, 2).
     det E(k) = 1 identically.
     """
-    w = np.asarray(w_branch(k, A, on_cut_side))
+    w = np.asarray(w_branch(k, A))
     p = 0.5 * (w + 1.0 / w)
     m = 0.5 * (w - 1.0 / w)
     out = np.empty(w.shape + (2, 2), dtype=complex)
@@ -120,10 +109,10 @@ def E_matrix(k, A, on_cut_side="off"):
     return out
 
 
-def theta_phase(k, xi, A, on_cut_side="off"):
+def theta_phase(k, xi, A):
     """Ray phase theta(k, xi) = (2k + 4*xi) * f(k)."""
     k = np.asarray(k, dtype=complex)
-    out = (2.0 * k + 4.0 * xi) * f_branch(k, A, on_cut_side)
+    out = (2.0 * k + 4.0 * xi) * f_branch(k, A)
     return out if out.ndim else complex(out)
 
 

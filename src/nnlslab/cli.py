@@ -2,27 +2,26 @@
 
 Each pipeline stage is independently invocable:
 
-    nnlslab scatter   --config cfg.json --out out [--k K ...]
-    nnlslab validate  --config cfg.json --ray XI [--out out]
-    nnlslab planewave --config cfg.json --ray XI [--out out]
-    nnlslab elliptic  --config cfg.json --ray XI [--out out]
+    nnlslab scatter   --config cfg.json [--k K ...]
+    nnlslab validate  --config cfg.json [--ray XI ...]
+    nnlslab planewave --config cfg.json [--ray XI ...]
+    nnlslab elliptic  --config cfg.json [--ray XI ...]
     nnlslab simulate  --config cfg.json --out out [--tmax T]
     nnlslab compare   --config cfg.json --out out
-    nnlslab report    --config cfg.json --out out
 
 The JSON config schema (versioned with "schema": 1):
 
     {"schema": 1, "A": 0.5,
      "profile": {"preset": "gaussian_bump", "amplitude": -0.2,
                  "width": 1.0, "chirp": 0.3, "center": 0.8},
-     "rays": [1.2, 0.35], "t_list": [10, 20, 30],
-     "out_dir": "out", "seed": 0}
+     "rays": [1.2, 0.35], "t_list": [10, 20, 30]}
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .background import classify_ray
 from .ellipticwave import elliptic_data
 from .harness import RunConfig, emit_report, run
+from .numerics import json_value
 from .planewave import planewave_params
 from .scattering import SpectralTable, validate_assumptions
 from .simulator import SimGrid, simulate, trajectory_to_csv, write_snapshots
@@ -40,11 +40,6 @@ def _load_config(path):
         return RunConfig.from_json(fh.read())
 
 
-def _complex_dict(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def cmd_scatter(cfg, args):
     ks = [float(k) for k in args.k] if args.k else list(np.linspace(-5, 5, 21))
     tab = SpectralTable(cfg.profile)
@@ -53,12 +48,10 @@ def cmd_scatter(cfg, args):
         if k == 0.0:
             continue
         a1, a2, b1, b2 = tab.at(np.array([k]))
-        out.append({"k": k, "a1": _complex_dict(a1[0]), "a2": _complex_dict(a2[0]),
-                    "b1": _complex_dict(b1[0]), "b2": _complex_dict(b2[0])})
+        out.append({"k": k, "a1": json_value(a1[0]), "a2": json_value(a2[0]),
+                    "b1": json_value(b1[0]), "b2": json_value(b2[0])})
     print(json.dumps(out, sort_keys=True, indent=1))
     return 0
-
-
 def cmd_validate(cfg, args):
     tab = SpectralTable(cfg.profile)
     rays = [float(x) for x in args.ray] if args.ray else cfg.rays
@@ -81,16 +74,7 @@ def cmd_planewave(cfg, args):
     rays = [float(x) for x in args.ray] if args.ray else cfg.rays
     out = {}
     for xi in rays:
-        pwd = planewave_params(xi, tab)
-        out[f"{xi:g}"] = {
-            "k1": pwd.k1, "nu": _complex_dict(pwd.nu), "Delta": pwd.Delta,
-            "F_inf": _complex_dict(pwd.F_inf),
-            "F_at_k1": _complex_dict(pwd.F_at_k1), "beta1": pwd.beta1,
-            "theta_at_k1": pwd.theta_at_k1,
-            "c1": _complex_dict(pwd.c1), "c2": _complex_dict(pwd.c2),
-            "c3": _complex_dict(pwd.c3), "c4": _complex_dict(pwd.c4),
-            "case": pwd.case_tag.value,
-        }
+        out[f"{xi:g}"] = planewave_params(xi, tab).to_dict()
     print(json.dumps(out, sort_keys=True, indent=1))
     return 0
 
@@ -100,15 +84,7 @@ def cmd_elliptic(cfg, args):
     rays = [float(x) for x in args.ray] if args.ray else cfg.rays
     out = {}
     for xi in rays:
-        ed = elliptic_data(xi, cfg.A, tab)
-        out[f"{xi:g}"] = {
-            "k0": ed.surface.k0, "alpha": _complex_dict(ed.surface.alpha),
-            "tau": _complex_dict(ed.surface.tau), "H_inf": ed.H_inf,
-            "Omega": ed.Omega, "omega": _complex_dict(ed.omega),
-            "G_inf": _complex_dict(ed.G_inf),
-            "v_inf": _complex_dict(ed.v_inf), "c": _complex_dict(ed.c),
-            "khat0": ed.khat0,
-        }
+        out[f"{xi:g}"] = elliptic_data(xi, cfg.A, tab).to_dict()
     print(json.dumps(out, sort_keys=True, indent=1))
     return 0
 
@@ -118,8 +94,6 @@ def cmd_simulate(cfg, args):
     xi_max = max(abs(x) for x in cfg.rays)
     grid = cfg.grid or SimGrid.for_run(cfg.profile, xi_max, t_max)
     traj = simulate(cfg.profile, grid)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
     bin_path = os.path.join(args.out, "snapshots.bin")
@@ -139,42 +113,34 @@ def cmd_compare(cfg, args):
     return 0
 
 
-def cmd_report(cfg, args):
-    report = run(cfg)
-    files = emit_report(report, args.out, formats=("csv", "json"))
-    print(json.dumps({"files": files}, sort_keys=True))
-    return 0
+#: the options of the flags a subcommand may take besides --config
+_FLAGS = {
+    "--k": dict(action="append", default=None,
+                help="spectral point (repeatable)"),
+    "--ray": dict(action="append", default=None, help="ray xi (repeatable)"),
+    "--out": dict(default="out", help="output directory"),
+    "--tmax": dict(type=float, default=None, help="end time of the run"),
+}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="nnlslab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "scatter": cmd_scatter,
-        "validate": cmd_validate,
-        "planewave": cmd_planewave,
-        "elliptic": cmd_elliptic,
-        "simulate": cmd_simulate,
-        "compare": cmd_compare,
-        "report": cmd_report,
-    }
-    for name in handlers:
+    for name, handler, flags in (
+            ("scatter", cmd_scatter, ["--k"]),
+            ("validate", cmd_validate, ["--ray"]),
+            ("planewave", cmd_planewave, ["--ray"]),
+            ("elliptic", cmd_elliptic, ["--ray"]),
+            ("simulate", cmd_simulate, ["--out", "--tmax"]),
+            ("compare", cmd_compare, ["--out"])):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="quad tolerance")
-        p.add_argument("--ray", action="append", default=None,
-                       help="ray xi (repeatable)")
-        p.add_argument("--tmax", type=float, default=None)
-        if name == "scatter":
-            p.add_argument("--k", action="append", default=None,
-                           help="spectral point (repeatable)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config)
-    if args.tol:
-        cfg.tolerances["quad"] = args.tol
-    return handlers[args.command](cfg, args)
+    return args.handler(_load_config(args.config), args)
 
 
 if __name__ == "__main__":

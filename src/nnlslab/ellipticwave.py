@@ -11,14 +11,14 @@ the leading asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from .background import _angle_cut_down, f_branch
-from .numerics import (ComplexPath, PhaseUnwrapError, bracket_root,
-                       cauchy_segment, continuous_log, quad_path, theta3)
+from .numerics import (ComplexPath, PhaseUnwrapError, barycentric,
+                       bracket_root, cauchy_segment, continuous_log,
+                       json_value, quad_path, theta3)
 from .planewave import _lndelta_on_B, log_delta
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 #: rectangle offset for cycle integrals around the cut (checked offset
 #: independent in the test suite)
 _CYCLE_OFFSET = 1e-4
+#: absolute quadrature target of the k0 scan and the surface periods
+_SURFACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,16 @@ class EllipticData:
     v_inf: complex
     c: complex
     khat0: float
+
+    def to_dict(self):
+        """The ray's constants as reported: k0, alpha and tau of the surface
+        and every number of the band data."""
+        s = self.surface
+        out = {"k0": json_value(s.k0), "alpha": json_value(s.alpha),
+               "tau": json_value(s.tau)}
+        out.update((f.name, json_value(getattr(self, f.name)))
+                   for f in fields(self) if f.name != "surface")
+        return out
 
     @property
     def A(self):
@@ -147,7 +159,7 @@ def _k0_residual(k0, xi, A, tol=1e-12):
     return float(val.imag)
 
 
-def solve_k0(xi, A, tol=1e-10, scan_points=24):
+def solve_k0(xi, A):
     """The change-of-factorization point: the unique zero of the vanishing
     b-period residual on (-xi, 0).
 
@@ -162,14 +174,15 @@ def solve_k0(xi, A, tol=1e-10, scan_points=24):
     if not 0 < xi < np.sqrt(2.0) * A:
         raise ValueError("elliptic rays require 0 < xi < sqrt(2) A")
     margin = 1e-6 * min(xi, A)
-    grid = np.linspace(-xi * (1 - 1e-3), -margin, scan_points)
-    vals = [_k0_residual(c, xi, A, tol=max(tol, 1e-10)) for c in grid]
-    for i in range(scan_points - 1):
+    grid = np.linspace(-xi * (1 - 1e-3), -margin, 24)
+    vals = [_k0_residual(c, xi, A, tol=_SURFACE_TOL) for c in grid]
+    for i in range(grid.size - 1):
         if vals[i] == 0.0:
             return float(grid[i])
         if vals[i] * vals[i + 1] < 0:
             return bracket_root(
-                lambda c: _k0_residual(c, xi, A), grid[i], grid[i + 1], tol=tol
+                lambda c: _k0_residual(c, xi, A), grid[i], grid[i + 1],
+                tol=_SURFACE_TOL
             )
     raise ValueError(f"no sign change of the k0 residual on (-{xi:g}, 0)")
 
@@ -198,10 +211,10 @@ def _segments_cross(a1, b1, a2, b2):
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
-def build_surface(xi, A, tol=1e-10, offset=_CYCLE_OFFSET):
+def build_surface(xi, A):
     """Solve for k0, fix alpha, and normalize the genus-1 periods; the
     surface is determined by (xi, A) alone."""
-    k0 = solve_k0(xi, A, tol=tol)
+    k0 = solve_k0(xi, A)
     alpha = alpha_of(k0, xi, A)
     band_u = ComplexPath.segment(k0, alpha, "log", "inverse_sqrt")
     band_l = ComplexPath.segment(k0, np.conj(alpha), "log", "inverse_sqrt")
@@ -212,12 +225,12 @@ def build_surface(xi, A, tol=1e-10, offset=_CYCLE_OFFSET):
     def inv_gamma(z):
         return 1.0 / gamma_rs(z, A, alpha)
 
-    b_period = _cycle_rectangle(inv_gamma, A, offset, tol=tol)
+    b_period = _cycle_rectangle(inv_gamma, A, _CYCLE_OFFSET, tol=_SURFACE_TOL)
     C = 1.0 / b_period
     a_half = quad_path(
         inv_gamma,
         ComplexPath.segment(np.conj(alpha), -1j * A, "inverse_sqrt", "inverse_sqrt"),
-        tol=tol,
+        tol=_SURFACE_TOL,
     )
     tau = 2.0 * C * a_half
     if tau.imag < 0:
@@ -236,17 +249,17 @@ def _dh_density(surface):
     return dh
 
 
-def dh_b_period(surface, offset=_CYCLE_OFFSET, tol=1e-11):
+def dh_b_period(surface):
     """Independent check that the b-period of dh vanishes at the solved k0."""
-    return _cycle_rectangle(_dh_density(surface), surface.A, offset, tol=tol)
+    return _cycle_rectangle(_dh_density(surface), surface.A, _CYCLE_OFFSET)
 
 
-def _ray_tail_integral(fn, base, S=1e6, tol=1e-11, spans=None):
+def _ray_tail_integral(fn, base, tol):
     """Integral of fn along the vertical ray from base away from the real
     axis, truncated at |offset| = S with a two-term power-law tail appended."""
     dirn = 1j if base.imag > 0 else -1j
-    if spans is None:
-        spans = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, S]
+    S = 1e6
+    spans = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, S]
     verts = [base] + [base + dirn * s for s in spans]
     val = quad_path(fn, ComplexPath(tuple(verts), ("inverse_sqrt", "none")), tol=tol)
     # fit fn ~ kap2/k^2 + kap3/k^3 at the last two probe offsets
@@ -260,15 +273,16 @@ def _ray_tail_integral(fn, base, S=1e6, tol=1e-11, spans=None):
     return val + tail
 
 
-def h_machinery(surface, xi=None, tol=1e-10, _raw=False):
+def h_machinery(surface, _raw=False):
     """(H_inf, Omega, h evaluator) for the deformed phase.
 
     h(k) = 2k^2 + 4 xi k + 2A^2 + 2 * sum over both base points of the
     integral of [dh/4 - (z + xi)] from the base point to k.  With ``_raw``
     the complex H_inf and Omega are returned without the reality checks.
     """
-    xi = surface.xi if xi is None else xi
+    xi = surface.xi
     A = surface.A
+    tol = 1e-10
     k0 = surface.k0
     alpha = surface.alpha
     dh = _dh_density(surface)
@@ -292,8 +306,8 @@ def h_machinery(surface, xi=None, tol=1e-10, _raw=False):
             direct = (N - D) / f
         return np.where(np.abs(s) > 0.5 * np.abs(D), stable, direct)
 
-    I_up = _ray_tail_integral(decayed, 1j * A, tol=tol)
-    I_dn = _ray_tail_integral(decayed, -1j * A, tol=tol)
+    I_up = _ray_tail_integral(decayed, 1j * A, tol)
+    I_dn = _ray_tail_integral(decayed, -1j * A, tol)
     H_inf = 2.0 * (I_up + I_dn) + 2.0 * A * A
     if not _raw and abs(H_inf.imag) > 1e-6:
         raise RuntimeError(f"H_inf has imaginary part {H_inf.imag:.2e}")
@@ -360,17 +374,17 @@ def _band_nodes(surface):
     return max(48, int(np.ceil(25.0 / np.log(rho))))
 
 
-def _sample_band_logs(spectral, surface, max_doublings=4):
+def _sample_band_logs(spectral, surface):
     """Interpolants in t of the continuous logs of r1 on the upper band and
     r2 on the lower band, each z = k0 + t (end - k0), anchored at the
     principal branch at t = 0.
 
     Both bands go through one reflection batch at ``_band_nodes`` Chebyshev
-    nodes plus the two ends; their number doubles while the phase cannot be
-    unwrapped."""
+    nodes plus the two ends; their number doubles, at most four times, while
+    the phase cannot be unwrapped."""
     n = _band_nodes(surface)
     k0 = surface.k0
-    for _ in range(max_doublings + 1):
+    for _ in range(5):
         ts = np.concatenate([[0.0], _chebyshev_t(n)[::-1], [1.0]])
         pts = np.concatenate([k0 + ts * (surface.alpha - k0),
                               k0 + ts * (np.conj(surface.alpha) - k0)])
@@ -382,8 +396,7 @@ def _sample_band_logs(spectral, surface, max_doublings=4):
                     f"r{component} nearly vanishes on the band contour"
                 )
         try:
-            return tuple(BarycentricInterpolator(ts, continuous_log(v))
-                         for v in bands)
+            return tuple(barycentric(ts, continuous_log(v)) for v in bands)
         except PhaseUnwrapError:
             n *= 2
     raise PhaseUnwrapError("band-contour log did not stabilize")
@@ -391,25 +404,26 @@ def _sample_band_logs(spectral, surface, max_doublings=4):
 
 class _BandDelta:
     """log delta(zeta, k0) along a band contour split into the explicit
-    i*nu*log(k0 - zeta) singular part plus a Chebyshev-smooth remainder."""
+    i*nu*log(k0 - zeta) singular part plus a remainder interpolated from 48
+    Chebyshev nodes."""
 
-    def __init__(self, spectral, k0, path, n=48):
+    def __init__(self, spectral, k0, path):
         self.k0 = float(k0)
         self.a = path.vertices[0]
         self.b = path.vertices[-1]
         self.nu = -spectral.log_rr(self.k0) / (2.0 * np.pi)
-        ts = _chebyshev_t(n)
+        ts = _chebyshev_t(48)
         pts = self.a + ts * (self.b - self.a)
         vals = (log_delta(pts, self.k0, spectral)
                 - 1j * self.nu * np.log(self.k0 - pts))
-        self._interp = BarycentricInterpolator(ts, vals)
+        self._interp = barycentric(ts, vals)
 
     def __call__(self, z):
         t = np.real((z - self.a) / (self.b - self.a))
         return self._interp(t) + 1j * self.nu * np.log(self.k0 - z)
 
 
-def g_machinery(surface, spectral, k0=None, tol=1e-9):
+def g_machinery(surface, spectral):
     """(omega, G_inf, G evaluator) for the band factorization function.
 
     Log branches of r1, r2 along the band contours are continued from the
@@ -421,9 +435,10 @@ def g_machinery(surface, spectral, k0=None, tol=1e-9):
     the data reduce to the local equation, and matches the split-step
     simulation along elliptic rays.
     """
-    k0 = surface.k0 if k0 is None else k0
+    k0 = surface.k0
     A = surface.A
     alpha = surface.alpha
+    tol = 1e-9
 
     lnr1, lnr2 = _sample_band_logs(spectral, surface)
     bd_u = _BandDelta(spectral, k0, surface.band_upper)
@@ -494,10 +509,10 @@ def g_machinery(surface, spectral, k0=None, tol=1e-9):
     return complex(omega), complex(G_inf), G
 
 
-def reality_residuals(surface, tol=1e-10):
+def reality_residuals(surface):
     """Raw imaginary parts and normalization residuals of the h machinery:
     {Im H_inf, Im Omega, |h(iA)|, |b-period of dh|, Im h(alpha)}."""
-    H_inf, Omega, h = h_machinery(surface, tol=tol, _raw=True)
+    H_inf, Omega, h = h_machinery(surface, _raw=True)
     return {
         "im_H_inf": abs(H_inf.imag),
         "im_Omega": abs(Omega.imag),
@@ -507,17 +522,18 @@ def reality_residuals(surface, tol=1e-10):
     }
 
 
-def abel_constants(surface, tol=1e-11):
+def abel_constants(surface):
     """(v_inf, c, khat0) from the normalized differential dw = C dk/gamma."""
     A = surface.A
     alpha = surface.alpha
     C = surface.C_norm
     tau = surface.tau
+    tol = 1e-11
 
     def dw(z):
         return C / gamma_rs(z, A, alpha)
 
-    v_inf = _ray_tail_integral(dw, 1j * A, tol=tol)
+    v_inf = _ray_tail_integral(dw, 1j * A, tol)
     khat0 = A * alpha.real / (A + alpha.imag)
     v_khat = quad_path(
         dw, ComplexPath.segment(1j * A, khat0, "inverse_sqrt", "none"), tol=tol
@@ -529,11 +545,11 @@ def abel_constants(surface, tol=1e-11):
     return complex(v_inf), complex(c), float(khat0)
 
 
-def elliptic_data(xi, A, spectral, tol=1e-9):
+def elliptic_data(xi, A, spectral):
     """Assemble every modulated-elliptic ray constant at one xi."""
     surface = build_surface(xi, A)
     H_inf, Omega, _ = h_machinery(surface)
-    omega, G_inf, _ = g_machinery(surface, spectral, tol=tol)
+    omega, G_inf, _ = g_machinery(surface, spectral)
     v_inf, c, khat0 = abel_constants(surface)
     return EllipticData(surface=surface, H_inf=H_inf, Omega=Omega, omega=omega,
                         G_inf=G_inf, v_inf=v_inf, c=c, khat0=khat0)

@@ -34,18 +34,19 @@ class RunConfig:
     rays: list
     t_list: list
     grid: SimGrid = None
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.rays:
             raise ValueError("rays must be nonempty")
         if list(self.t_list) != sorted(self.t_list) or len(self.t_list) == 0:
             raise ValueError("t_list must be nonempty and increasing")
+        if not min(self.t_list) > 0:
+            raise ValueError("t_list times must be positive")
 
     @classmethod
     def from_json(cls, obj):
+        """Parse a schema-1 config; the keys "tolerances", "out_dir" and
+        "seed" of older files are accepted and ignored."""
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
         if obj.get("schema") != _SCHEMA:
@@ -64,9 +65,6 @@ class RunConfig:
             rays=[float(x) for x in obj["rays"]],
             t_list=[float(t) for t in obj["t_list"]],
             grid=grid,
-            tolerances=dict(obj.get("tolerances", {})),
-            out_dir=obj.get("out_dir", "out"),
-            seed=int(obj.get("seed", 0)),
         )
 
 
@@ -118,12 +116,6 @@ class ComparisonReport:
         }
 
 
-def _fmt(x):
-    if isinstance(x, complex):
-        return {"re": float(x.real), "im": float(x.imag)}
-    return float(x)
-
-
 def _fit_decay(ts, errs):
     """Log-log slope of |err| vs t with its R^2."""
     ts = np.asarray(ts, dtype=float)
@@ -142,45 +134,29 @@ def _fit_decay(ts, errs):
 
 def _planewave_ray(xi, spectral, t_list, sampled):
     pwd = planewave_params(xi, spectral)
-    consts = {
-        "k1": _fmt(pwd.k1), "nu": _fmt(pwd.nu), "Delta": _fmt(pwd.Delta),
-        "F_inf": _fmt(pwd.F_inf), "F_at_k1": _fmt(pwd.F_at_k1),
-        "chi_at_k1": _fmt(pwd.chi_at_k1), "beta1": _fmt(pwd.beta1),
-        "theta_at_k1": _fmt(pwd.theta_at_k1),
-        "c1": _fmt(pwd.c1), "c2": _fmt(pwd.c2), "c3": _fmt(pwd.c3),
-        "c4": _fmt(pwd.c4), "case": pwd.case_tag.value,
-    }
     rows = []
     for t in t_list:
         qp, qm, E1, E2 = planewave_eval(pwd, t)
         sim = sampled(t)
         rows.append((t, abs(sim[0]), abs(qp)))
         rows.append((t, abs(sim[1]), abs(qm)))
-    return consts, rows
+    return pwd.to_dict(), rows
 
 
 def _elliptic_ray(xi, A, spectral, t_list, sampled):
     ed = elliptic_data(xi, A, spectral)
-    consts = {
-        "k0": _fmt(ed.surface.k0), "alpha": _fmt(ed.surface.alpha),
-        "tau": _fmt(ed.surface.tau), "H_inf": _fmt(ed.H_inf),
-        "Omega": _fmt(ed.Omega), "omega": _fmt(ed.omega),
-        "G_inf": _fmt(ed.G_inf), "v_inf": _fmt(ed.v_inf),
-        "c": _fmt(ed.c), "khat0": _fmt(ed.khat0),
-    }
     rows = []
     for t in t_list:
         qp, qm = elliptic_eval(ed, t)
         sim = sampled(t)
         rows.append((t, abs(sim[0]), abs(qp)))
         rows.append((t, abs(sim[1]), abs(qm)))
-    return consts, rows
+    return ed.to_dict(), rows
 
 
 def run(config):
     """Full pipeline: classify -> validate -> asymptotics -> simulate ->
     compare; per-ray failures are captured, not fatal."""
-    np.random.seed(config.seed)
     profile = config.profile
     A = config.A
     spectral = SpectralTable(profile)
@@ -249,40 +225,29 @@ def run(config):
         "grid": {"L_box": grid.L_box, "N": grid.N, "dt": grid.dt,
                  "t_max": grid.t_max},
         "noise_floor": traj.noise_floor_estimate,
-        "seed": config.seed,
     }
     return ComparisonReport(config_summary=summary, assumptions=assumptions,
                             rays=ray_results)
 
 
-def emit_report(report, out_dir, formats=("csv", "json")):
+def emit_report(report, out_dir):
     """Write comparison.csv / report.json / constants.json, byte-stable for
     identical inputs (sorted keys, %.12e floats)."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "comparison.csv")
+    paths = [os.path.join(out_dir, name)
+             for name in ("comparison.csv", "report.json", "constants.json")]
+    with open(paths[0], "w") as fh:
+        fh.write("xi,t,abs_q_sim,abs_q_asym,abs_err,rel_err\n")
+        for r in report.rays:
+            for (t, s, a) in r.rows:
+                rel = abs(s - a) / a if a else float("inf")
+                fh.write(
+                    f"{r.xi:.12e},{t:.12e},{s:.12e},{a:.12e},"
+                    f"{abs(s - a):.12e},{rel:.12e}\n"
+                )
+    consts = {f"{r.xi:g}": r.constants for r in report.rays}
+    for path, obj in zip(paths[1:], (report.to_dict(), consts)):
         with open(path, "w") as fh:
-            fh.write("xi,t,abs_q_sim,abs_q_asym,abs_err,rel_err\n")
-            for r in report.rays:
-                for (t, s, a) in r.rows:
-                    rel = abs(s - a) / a if a else float("inf")
-                    fh.write(
-                        f"{r.xi:.12e},{t:.12e},{s:.12e},{a:.12e},"
-                        f"{abs(s - a):.12e},{rel:.12e}\n"
-                    )
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=1,
-                      default=float)
+            json.dump(obj, fh, sort_keys=True, indent=1, default=float)
             fh.write("\n")
-        written.append(path)
-        path = os.path.join(out_dir, "constants.json")
-        consts = {f"{r.xi:g}": r.constants for r in report.rays}
-        with open(path, "w") as fh:
-            json.dump(consts, fh, sort_keys=True, indent=1, default=float)
-            fh.write("\n")
-        written.append(path)
-    return written
+    return paths

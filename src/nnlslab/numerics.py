@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import brentq
 from scipy.special import gamma as _scipy_gamma
 
@@ -29,14 +30,18 @@ __all__ = [
     "cauchy_segment",
     "bracket_root",
     "continuous_log",
+    "barycentric",
+    "json_value",
 ]
 
 _SING_TAGS = ("none", "inverse_sqrt", "log")
 
 #: geometric ratio of the graded mesh used for logarithmic endpoint
-#: singularities; 0.25**_LOG_LEVELS reaches ~1e-17 of the panel width
+#: singularities; 0.25**_LOG_GRADE_LEVELS reaches ~1e-17 of the panel width
 _LOG_GRADE_RATIO = 0.25
 _LOG_GRADE_LEVELS = 28
+#: Gauss-Legendre points per panel of the adaptive rule
+_GL_POINTS = 15
 
 
 class QuadratureError(RuntimeError):
@@ -161,14 +166,14 @@ def gauss_legendre(f, a, b, n=15):
     return half * np.sum(w * vals)
 
 
-def _adaptive_panels(f, a, b, seeds, tol, max_panels, n=15):
+def _adaptive_panels(f, a, b, seeds, tol, max_panels):
     """Level-batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
 
     ``seeds`` is a list of (t_lo, t_hi) panels covering the wanted range.
     Accepts a panel when |I_panel - I_left - I_right| <= tol * panel_fraction.
     All panels of one refinement level go to the integrand in a single call.
     """
-    x, w = _gl_nodes(n)
+    x, w = _gl_nodes(_GL_POINTS)
     span = b - a
 
     def rule(tlo, thi):
@@ -216,6 +221,27 @@ def _adaptive_panels(f, a, b, seeds, tol, max_panels, n=15):
     return result
 
 
+def _log_seeds(a, span):
+    """Panels of t in [0, 1] graded geometrically toward a log end at t = 0.
+
+    The innermost levels are dropped while a Gauss node of the first panel's
+    left half, the closest the first two rule evaluations come to the end,
+    would round onto the end itself (where a log integrand is infinite);
+    that happens only when a + t*span loses t against |a| in every
+    coordinate."""
+    x = _gl_nodes(_GL_POINTS)[0]
+    levels = _LOG_GRADE_LEVELS
+    while levels > 1:
+        quarter = 0.25 * _LOG_GRADE_RATIO ** levels
+        if a + (quarter + quarter * x[0]) * span != a:
+            break
+        levels -= 1
+    edges = [_LOG_GRADE_RATIO ** j for j in range(levels, 0, -1)]
+    return [(0.0, edges[0])] + [
+        (edges[j], edges[j + 1]) for j in range(len(edges) - 1)
+    ] + [(edges[-1], 1.0)]
+
+
 def _quad_segment(f, a, b, start_tag, end_tag, tol, max_panels):
     """Integrate f over the straight segment [a, b] honoring endpoint tags."""
     if start_tag != "none" and end_tag != "none":
@@ -224,8 +250,7 @@ def _quad_segment(f, a, b, start_tag, end_tag, tol, max_panels):
             _quad_segment(f, mid, b, "none", end_tag, tol / 2, max_panels)
     if end_tag != "none":
         # mirror so the singular end sits at the start
-        val = _quad_segment(lambda z: f(z), b, a, end_tag, "none", tol, max_panels)
-        return -val
+        return -_quad_segment(f, b, a, end_tag, "none", tol, max_panels)
     span = b - a
     if start_tag == "inverse_sqrt":
         # t = u^2 removes a (z-a)^(-1/2) singularity and doubles smoothness
@@ -235,12 +260,7 @@ def _quad_segment(f, a, b, start_tag, end_tag, tol, max_panels):
 
         return _adaptive_panels(g, 0.0, 1.0, [(0.0, 1.0)], tol, max_panels)
     if start_tag == "log":
-        r = _LOG_GRADE_RATIO
-        edges = [r ** j for j in range(_LOG_GRADE_LEVELS, 0, -1)]
-        seeds = [(0.0, edges[0])] + [
-            (edges[j], edges[j + 1]) for j in range(len(edges) - 1)
-        ] + [(edges[-1], 1.0)]
-        return _adaptive_panels(f, a, b, seeds, tol, max_panels)
+        return _adaptive_panels(f, a, b, _log_seeds(a, span), tol, max_panels)
     return _adaptive_panels(f, a, b, [(0.0, 1.0)], tol, max_panels)
 
 
@@ -265,14 +285,13 @@ def quad_path(f, path, tol=1e-10, max_panels=20000):
     return total
 
 
-def cauchy_segment(phi, a, b, k, tol=1e-10, endpoint_singularity=("none", "none"),
-                   near_fraction=0.05):
+def cauchy_segment(phi, a, b, k, tol=1e-10, endpoint_singularity=("none", "none")):
     """Integral of phi(z)/(z - k) over the straight segment [a, b].
 
-    When ``k`` lies close to the segment (within ``near_fraction`` of its
-    length) the pole is subtracted: phi(p) * int dz/(z-k) is added in closed
-    form with p the orthogonal projection of k onto the segment, leaving a
-    bounded integrand.  ``endpoint_singularity`` tags apply to phi itself.
+    When ``k`` lies close to the segment (within 5% of its length) the pole
+    is subtracted: phi(p) * int dz/(z-k) is added in closed form with p the
+    orthogonal projection of k onto the segment, leaving a bounded
+    integrand.  ``endpoint_singularity`` tags apply to phi itself.
     """
     a = complex(a)
     b = complex(b)
@@ -290,7 +309,7 @@ def cauchy_segment(phi, a, b, k, tol=1e-10, endpoint_singularity=("none", "none"
         else endpoint_singularity[1] if t_raw >= 1.0
         else "none"
     )
-    if dist >= near_fraction * L or clamped_tag != "none":
+    if dist >= 0.05 * L or clamped_tag != "none":
         # near a singular-tagged endpoint phi(p) is unusable; plain adaptive
         # refinement resolves the pole at its offset scale instead
         path = ComplexPath.segment(a, b, *endpoint_singularity)
@@ -304,7 +323,7 @@ def cauchy_segment(phi, a, b, k, tol=1e-10, endpoint_singularity=("none", "none"
     return rest + log_term
 
 
-def bracket_root(g, lo, hi, tol=1e-12, maxiter=200):
+def bracket_root(g, lo, hi, tol=1e-12):
     """Root of a real scalar function on a sign-changing bracket.
 
     Uses Brent's bisection / inverse-quadratic hybrid, then verifies the
@@ -320,7 +339,7 @@ def bracket_root(g, lo, hi, tol=1e-12, maxiter=200):
         raise ValueError(f"no sign change on bracket [{lo:g}, {hi:g}]")
     try:
         root = brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)),
-                      rtol=4 * np.finfo(float).eps, maxiter=maxiter)
+                      rtol=4 * np.finfo(float).eps, maxiter=200)
     except RuntimeError as exc:
         raise RootFindError(str(exc)) from exc
     scale = max(1.0, abs(glo), abs(ghi))
@@ -329,6 +348,24 @@ def bracket_root(g, lo, hi, tol=1e-12, maxiter=200):
             f"residual {abs(g(root)):.2e} exceeds {tol:.1e} * {scale:.2e}"
         )
     return float(root)
+
+
+def barycentric(x, y):
+    """Barycentric interpolant of the samples y at the nodes x.
+
+    scipy multiplies out each weight's product in a random order, drawn from
+    numpy's global random state unless it is given a generator.  A fixed
+    generator makes the weights depend on the nodes alone, so an interpolated
+    value does not depend on what ran before it."""
+    return BarycentricInterpolator(x, y, rng=0)
+
+
+def json_value(x):
+    """A number for the JSON reports: a complex as {"re": ..., "im": ...},
+    anything else as a float."""
+    if isinstance(x, complex):
+        return {"re": float(x.real), "im": float(x.imag)}
+    return float(x)
 
 
 def continuous_log(values):

@@ -14,15 +14,14 @@ otherwise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BarycentricInterpolator
 
 from .background import f_branch, stationary_points, theta_phase, w_branch
-from .numerics import (ComplexPath, QuadratureError, cauchy_segment,
-                       gamma_complex, quad_path)
+from .numerics import (ComplexPath, QuadratureError, barycentric,
+                       cauchy_segment, gamma_complex, json_value, quad_path)
 
 __all__ = [
     "PlaneWaveData",
@@ -50,6 +49,10 @@ _NEAR_HALF_WIDTHS = 16
 _GL4_X, _GL4_W = leggauss(4)
 #: floats in each of the two point-by-node temporaries of log_delta (512 KiB)
 _CHUNK_ELEMENTS = 2**16
+#: absolute quadrature target of the F integrals over B
+_F_TOL = 1e-10
+#: Chebyshev nodes of the log delta interpolant on B
+_B_NODES = 96
 
 
 class WindingError(RuntimeError):
@@ -93,6 +96,14 @@ class PlaneWaveData:
     c3: complex
     c4: complex
     case_tag: SubleadingCase
+
+    def to_dict(self):
+        """The ray's constants as reported: every number but xi and A, and
+        the subleading case as "case"."""
+        out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("xi", "A", "case_tag")}
+        out["case"] = self.case_tag.value
+        return out
 
 
 def _check_winding(spectral, k_end):
@@ -178,12 +189,13 @@ def delta_fn(k, k1, spectral):
     return np.exp(log_delta(k, k1, spectral))
 
 
-def chi_fn(k, k_end, spectral, tol=1e-11):
+def chi_fn(k, k_end, spectral):
     """The regular exponent chi(k, k_end) with delta = (k-k_end)^(i nu) e^chi.
 
     Continuous up to and including k = k_end (the stationary point value
     chi(k1, k1) enters the subleading constants)."""
     phi = _line_phi(spectral)
+    tol = 1e-11
     k = complex(k)
     k_end = float(k_end)
     k_lo = -spectral.k_tail
@@ -217,15 +229,19 @@ def local_exponents(k1, spectral):
     return nu, chi, Delta
 
 
-def _lndelta_on_B(k1, spectral, n=96):
-    """Barycentric interpolant of log delta(i y, k1) at Chebyshev nodes."""
-    A = spectral.A
+def _b_nodes(A, n):
+    """n Chebyshev nodes y of B, k = i*y, shrunk by 1e-9 off the ends."""
     j = np.arange(n)
-    y = A * (1.0 - 1e-9) * np.cos(np.pi * (2 * j + 1) / (2 * n))
-    return BarycentricInterpolator(y, log_delta(1j * y, k1, spectral))
+    return A * (1.0 - 1e-9) * np.cos(np.pi * (2 * j + 1) / (2 * n))
 
 
-def F_fn(k, k1, spectral, tol=1e-10, _interp=None):
+def _lndelta_on_B(k1, spectral):
+    """Barycentric interpolant of log delta(i y, k1) at Chebyshev nodes."""
+    y = _b_nodes(spectral.A, _B_NODES)
+    return barycentric(y, log_delta(1j * y, k1, spectral))
+
+
+def F_fn(k, k1, spectral, _interp=None):
     """The cut factorization function F(k, k1), bounded at +-iA and infinity.
 
     F_+ F_- = delta^2 on the cut; F -> exp(i F_inf) at infinity."""
@@ -235,21 +251,22 @@ def F_fn(k, k1, spectral, tol=1e-10, _interp=None):
     def g(z):
         return interp(np.imag(z)) / f_branch(z, A)
 
-    I = cauchy_segment(g, -1j * A, 1j * A, complex(k), tol=tol,
+    I = cauchy_segment(g, -1j * A, 1j * A, complex(k), tol=_F_TOL,
                        endpoint_singularity=("inverse_sqrt", "inverse_sqrt"))
     return np.exp(-f_branch(complex(k), A) / (1j * np.pi) * I)
 
 
-def F_inf(k1, spectral, tol=1e-10, _interp=None):
+def F_inf(k1, spectral, _interp=None):
     """F_inf(k1) = -(1/pi) int_B log delta(z, k1)/f(z) dz."""
     A = spectral.A
     interp = _interp if _interp is not None else _lndelta_on_B(k1, spectral)
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
-    val = quad_path(lambda z: interp(np.imag(z)) / f_branch(z, A), path, tol=tol)
+    val = quad_path(lambda z: interp(np.imag(z)) / f_branch(z, A), path,
+                    tol=_F_TOL)
     return -val / np.pi
 
 
-def F_inf_split(k1, spectral, tol=1e-10, n=96):
+def F_inf_split(k1, spectral, n=_B_NODES):
     """F_inf assembled from the separated real/imaginary double integrals.
 
     Independent route: the inner line integrals use log|1+r1r2| and the
@@ -264,21 +281,24 @@ def F_inf_split(k1, spectral, tol=1e-10, n=96):
     def phi_im(z):
         return spectral.log_rr(np.real(z)).imag + 0j
 
-    j = np.arange(n)
-    y = A * (1.0 - 1e-9) * np.cos(np.pi * (2 * j + 1) / (2 * n))
+    y = _b_nodes(A, n)
     H_re = np.array(
-        [cauchy_segment(phi_re, k_lo, float(k1), 1j * yy, tol=tol) for yy in y]
+        [cauchy_segment(phi_re, k_lo, float(k1), 1j * yy, tol=_F_TOL)
+         for yy in y]
     )
     H_im = np.array(
-        [cauchy_segment(phi_im, k_lo, float(k1), 1j * yy, tol=tol) for yy in y]
+        [cauchy_segment(phi_im, k_lo, float(k1), 1j * yy, tol=_F_TOL)
+         for yy in y]
     )
     # inner integrals are over s, with kernel 1/(s - zeta): flip sign to the
     # displayed kernel 1/(zeta - s) ... the displays use 1/(s - zeta) directly
-    ip_re = BarycentricInterpolator(y, H_re)
-    ip_im = BarycentricInterpolator(y, H_im)
+    ip_re = barycentric(y, H_re)
+    ip_im = barycentric(y, H_im)
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
-    outer_re = quad_path(lambda z: ip_re(np.imag(z)) / f_branch(z, A), path, tol=tol)
-    outer_im = quad_path(lambda z: ip_im(np.imag(z)) / f_branch(z, A), path, tol=tol)
+    outer_re = quad_path(lambda z: ip_re(np.imag(z)) / f_branch(z, A), path,
+                         tol=_F_TOL)
+    outer_im = quad_path(lambda z: ip_im(np.imag(z)) / f_branch(z, A), path,
+                         tol=_F_TOL)
     re_part = -outer_re / (2j * np.pi**2)
     im_part = -outer_im / (2j * np.pi**2)
     return complex(re_part.real + 1j * im_part.real), float(
@@ -286,9 +306,9 @@ def F_inf_split(k1, spectral, tol=1e-10, n=96):
     )
 
 
-def planewave_params(xi, spectral, A=None, tol=1e-10):
+def planewave_params(xi, spectral):
     """Assemble every plane-wave ray constant at xi > sqrt(2) A."""
-    A = spectral.A if A is None else A
+    A = spectral.A
     xi = float(xi)
     if not xi > np.sqrt(2.0) * A:
         raise ValueError("plane-wave rays require xi > sqrt(2) A")
@@ -296,8 +316,8 @@ def planewave_params(xi, spectral, A=None, tol=1e-10):
     _check_winding(spectral, k1)
     nu, chi, Delta = local_exponents(k1, spectral)
     interp = _lndelta_on_B(k1, spectral)
-    Finf = F_inf(k1, spectral, tol=tol, _interp=interp)
-    Fk1 = F_fn(k1, k1, spectral, tol=tol, _interp=interp)
+    Finf = F_inf(k1, spectral, _interp=interp)
+    Fk1 = F_fn(k1, k1, spectral, _interp=interp)
     fk1 = complex(f_branch(k1, A)).real
     wk1 = complex(w_branch(k1, A))
     theta1 = complex(theta_phase(k1, xi, A)).real

@@ -101,8 +101,8 @@ class InitialProfile:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def pure_background(cls, A, L=1.0, n=17):
-        return cls(A, L, np.full(n, complex(A)))
+    def pure_background(cls, A, L):
+        return cls(A, L, np.full(17, complex(A)))
 
     @classmethod
     def gaussian_bump(cls, A, amplitude, width, chirp=0.0, center=0.0, L=None,
@@ -347,12 +347,12 @@ def _propagate(profile, side, split, ks, ifs, Y):
     return np.stack([y0, y1], axis=1)
 
 
-def _jost_batch(profile, ks, side, cut_side="off", cols=(0, 1)):
+def _jost_batch(profile, ks, side, cols=(0, 1)):
     """Columns ``cols`` of Psi_side(0, 0, k) for an array of spectral points;
     shape (m, 2, len(cols))."""
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    fs = np.atleast_1d(f_branch(ks, profile.A, cut_side))
-    out = E_matrix(ks, profile.A, cut_side)[:, :, list(cols)]
+    fs = np.atleast_1d(f_branch(ks, profile.A))
+    out = E_matrix(ks, profile.A)[:, :, list(cols)]
     # Psi*sigma3 multiplies column 0 by +1 and column 1 by -1
     ifs = 1j * fs[:, None] * np.array([1.0, -1.0])[list(cols)]
     kh = np.abs(ks) * profile.dx / _MAX_KH
@@ -363,11 +363,11 @@ def _jost_batch(profile, ks, side, cut_side="off", cols=(0, 1)):
     return out
 
 
-def jost_at_origin(profile, k, side, cut_side="off"):
+def jost_at_origin(profile, k, side):
     """Jost matrix Psi_j(0, 0, k) for j = side in {1 (from -L), 2 (from +L)}."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    out = _jost_batch(profile, k, side, cut_side)
+    out = _jost_batch(profile, k, side)
     return out[0] if np.ndim(k) == 0 else out
 
 
@@ -381,7 +381,7 @@ _DETERMINANTS = {
 }
 
 
-def scattering_data(profile, k, cut_side="off", only=None):
+def scattering_data(profile, k, only=None):
     """Spectral functions (a1, a2, b1, b2) at k via Jost column determinants.
 
     a1 is meaningful on the closed upper half plane minus (0, iA], a2 on the
@@ -397,7 +397,7 @@ def scattering_data(profile, k, cut_side="off", only=None):
     for side in (1, 2):
         cols = sorted({c for name in names
                        for s, c in _DETERMINANTS[name] if s == side})
-        psi = _jost_batch(profile, k, side, cut_side, cols)
+        psi = _jost_batch(profile, k, side, cols)
         for j, c in enumerate(cols):
             columns[side, c] = psi[:, :, j]
     # off the real axis only some column pairs are numerically meaningful
@@ -412,14 +412,18 @@ def scattering_data(profile, k, cut_side="off", only=None):
     return tuple(out) if only is None else out[0]
 
 
-def reflection(profile, k, cut_side="off"):
+def reflection(profile, k):
     """Reflection coefficients (r1, r2) = (b1/a1, b2/a2)."""
-    a1, a2, b1, b2 = scattering_data(profile, k, cut_side)
+    a1, a2, b1, b2 = scattering_data(profile, k)
     if np.any(np.abs(np.atleast_1d(a1)) < 1e-12) or np.any(
         np.abs(np.atleast_1d(a2)) < 1e-12
     ):
         raise ValueError("a_j vanished: zero-freeness assumption violated")
     return b1 / a1, b2 / a2
+
+
+#: the line table's tail starts where |r1*r2| falls below this
+_TAIL_TARGET = 1e-12
 
 
 class SpectralTable:
@@ -431,25 +435,23 @@ class SpectralTable:
     negligible), and cut-side samples on B.
     """
 
-    def __init__(self, profile, *, line_points=2400, tail_target=1e-12):
+    def __init__(self, profile):
         self.profile = profile
         self.A = profile.A
-        self.tail_target = tail_target
-        self._line_points = line_points
         self._line = None
-        self._b_cache = {}
+        self._b_samples = None
 
     # -- point evaluation --------------------------------------------------
 
-    def at(self, k, cut_side="off"):
-        return scattering_data(self.profile, k, cut_side)
+    def at(self, k):
+        return scattering_data(self.profile, k)
 
-    def reflection_at(self, k, cut_side="off"):
-        return reflection(self.profile, k, cut_side)
+    def reflection_at(self, k):
+        return reflection(self.profile, k)
 
-    def rr(self, k, cut_side="off"):
+    def rr(self, k):
         """1 + r1(k)*r2(k)."""
-        r1, r2 = self.reflection_at(k, cut_side)
+        r1, r2 = self.reflection_at(k)
         return 1.0 + r1 * r2
 
     # -- negative-axis table -----------------------------------------------
@@ -459,7 +461,7 @@ class SpectralTable:
         k = -max(4.0, 6.0 * self.A)
         for _ in range(24):
             r1, r2 = self.reflection_at(np.array([k]))
-            if abs(r1[0] * r2[0]) < self.tail_target:
+            if abs(r1[0] * r2[0]) < _TAIL_TARGET:
                 return -k
             k *= 1.5
         return -k
@@ -468,13 +470,13 @@ class SpectralTable:
         k_tail = self._find_tail()
         k_hi = -1e-4 * self.A
         k_mid = -min(max(10.0 * self.A, 10.0), 0.8 * k_tail)
-        dense = np.linspace(k_mid, k_hi, self._line_points)
+        dense = np.linspace(k_mid, k_hi, 2400)
         n_geo = max(8, int(24 * np.log2(k_tail / -k_mid)))
         geo = -np.geomspace(k_tail, -k_mid, n_geo, endpoint=False)
         grid = np.concatenate([geo, dense])
         vals = self.rr(grid)
         logs = continuous_log(vals)
-        # the anchor sits where |r1 r2| < tail_target, so its principal
+        # the anchor sits where |r1 r2| < _TAIL_TARGET, so its principal
         # argument is already the continuous-from -infinity value
         self._line = {
             "k_tail": k_tail,
@@ -500,7 +502,7 @@ class SpectralTable:
     def log_rr(self, k):
         """Unwrapped log(1 + r1*r2) on the negative real axis (spline table).
 
-        Points left of the table are in the |r1*r2| < tail_target region and
+        Points left of the table are in the |r1*r2| < _TAIL_TARGET region and
         evaluate to 0, consistent with the tail truncation of the integrals.
         """
         if self._line is None:
@@ -524,20 +526,15 @@ class SpectralTable:
 
     # -- cut-side samples ----------------------------------------------------
 
-    def on_B(self, y):
-        """Minus-side (a1, a2, b1, b2, r1, r2) at k = i*y, y in (-A, A)."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        a1, a2, b1, b2 = self.at(1j * y, cut_side="minus")
-        return a1, a2, b1, b2, b1 / a1, b2 / a2
-
-    def B_chebyshev(self, n=96, margin=1e-6):
-        """Chebyshev-node samples of r1, r2 on B (cached per node count)."""
-        if n not in self._b_cache:
-            j = np.arange(n)
-            y = self.A * (1.0 - margin) * np.cos(np.pi * (2 * j + 1) / (2 * n))
-            a1, a2, b1, b2, r1, r2 = self.on_B(y)
-            self._b_cache[n] = (y, r1, r2)
-        return self._b_cache[n]
+    def B_chebyshev(self):
+        """(y, r1, r2): minus-side reflection coefficients at k = i*y on 96
+        Chebyshev nodes y of B shrunk by 1e-6, computed once."""
+        if self._b_samples is None:
+            j = np.arange(96)
+            y = self.A * (1.0 - 1e-6) * np.cos(np.pi * (2 * j + 1) / (2 * 96))
+            a1, a2, b1, b2 = self.at(1j * y)
+            self._b_samples = (y, b1 / a1, b2 / a2)
+        return self._b_samples
 
 
 @dataclass(frozen=True)
@@ -553,17 +550,17 @@ class AssumptionReport:
             raise ValueError("winding_ok must mirror max_abs_winding < pi")
 
 
-def _winding_on_polyline(eval_fn, verts, n_init=48, max_rounds=14):
-    """Winding number of eval_fn along a closed polyline via adaptive
-    refinement of the sampled phase until all gaps are < pi/2."""
-    ts = []
+def _winding_on_polyline(eval_fn, verts):
+    """Winding number of eval_fn along a closed polyline from 48 samples per
+    edge, refined at the midpoints of every gap >= pi/2 in the sampled phase
+    for at most 14 rounds."""
     pts = []
     for a, b in zip(verts[:-1], verts[1:]):
-        seg_t = np.linspace(0.0, 1.0, n_init, endpoint=False)
+        seg_t = np.linspace(0.0, 1.0, 48, endpoint=False)
         pts.append(a + seg_t * (b - a))
     pts = np.concatenate(pts + [[verts[-1]]])
     vals = eval_fn(pts)
-    for _ in range(max_rounds):
+    for _ in range(14):
         if np.any(np.abs(vals) < 1e-9):
             raise RuntimeError(
                 "contour passes near a zero; refine or move the contour"
@@ -594,8 +591,7 @@ def winding_k_stop(ray, A):
     return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A
 
 
-def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
-                         boundary_threshold=1e-6):
+def validate_assumptions(spectral, ray):
     """Check the two standing assumptions for one ray.
 
     Zero counts come from argument-principle winding of a1 (upper half plane,
@@ -604,13 +600,11 @@ def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
     Each contour integrates only the two Jost columns of its own
     determinant, the ones that stay bounded in its half plane.
     """
-    if isinstance(spectral, InitialProfile):
-        spectral = SpectralTable(spectral)
     profile = spectral.profile
     A = profile.A
-    if K is None:
-        K = 10.0 * max(A, abs(ray.xi), 1.0)
-    s = sleeve
+    K = 10.0 * max(A, abs(ray.xi), 1.0)
+    # the contours run eps off the real axis and a sleeve s around the cut
+    eps = s = 1e-3
 
     def a1_fn(pts):
         return scattering_data(profile, pts, only="a1")
@@ -634,7 +628,7 @@ def validate_assumptions(spectral, ray, *, K=None, eps=1e-3, sleeve=1e-3,
     probes_a2 = np.concatenate([kr, 1j * ycut[ycut < 0] + s, 1j * ycut[ycut < 0] - s])
     min_a1 = float(np.min(np.abs(a1_fn(probes_a1))))
     min_a2 = float(np.min(np.abs(a2_fn(probes_a2))))
-    if min(min_a1, min_a2) < boundary_threshold:
+    if min(min_a1, min_a2) < 1e-6:
         raise RuntimeError(
             "spectral function nearly vanishes on the boundary "
             f"(min |a| = {min(min_a1, min_a2):.2e}); spectral singularity"

@@ -35,6 +35,8 @@ __all__ = [
 
 #: amplified round-off must stay below this for a run to count as valid
 _NOISE_BUDGET = 1e-8
+#: a run stops with BlowUpError once max |q| exceeds this many times A
+_BLOWUP_FACTOR = 1e6
 
 
 class BlowUpError(RuntimeError):
@@ -75,16 +77,15 @@ class SimGrid:
         return -self.L_box + self.dx * np.arange(self.N)
 
     @classmethod
-    def for_run(cls, profile, xi_max, t_max, points_per_unit=24.0,
-                spread_margin=8.0):
-        """Box covering all rays |x| <= 4*xi_max*t plus dispersive spreading,
-        with dt at the step-accuracy bound."""
-        L_need = max(4.0 * abs(xi_max) * t_max + spread_margin,
-                     4.0 * profile.support_L)
+    def for_run(cls, profile, xi_max, t_max):
+        """Box covering all rays |x| <= 4*xi_max*t plus 8 for dispersive
+        spreading, with 24 points per unit length and dt at the step-accuracy
+        bound."""
+        L_need = max(4.0 * abs(xi_max) * t_max + 8.0, 4.0 * profile.support_L)
         N = 256
-        while N < points_per_unit * L_need:
+        while N < 24.0 * L_need:
             N *= 2
-        L_box = N / points_per_unit / 2.0 * 1.0
+        L_box = N / 24.0 / 2.0
         if L_box < L_need:
             L_box = L_need
         kmax = np.pi * N / (2.0 * L_box)
@@ -126,7 +127,7 @@ def nonlinear_substep(p, dt, A, mirror=None):
     return p * np.exp(2j * dt * (m - A * A))
 
 
-def simulate(profile, grid, snapshot_dt=None, blowup_factor=1e6):
+def simulate(profile, grid, snapshot_dt=None):
     """Strang-split evolution of the profile; returns q snapshots."""
     A = profile.A
     if grid.L_box < 2.0 * profile.support_L:
@@ -155,8 +156,8 @@ def simulate(profile, grid, snapshot_dt=None, blowup_factor=1e6):
             p = nonlinear_substep(p, dt, A, mirror)
             p = np.fft.ifft(half * np.fft.fft(p))
         t += snapshot_dt
-        if np.max(np.abs(p)) > blowup_factor * A:
-            raise BlowUpError(f"field exceeded {blowup_factor:.0e} * A at t={t:.3f}")
+        if np.max(np.abs(p)) > _BLOWUP_FACTOR * A:
+            raise BlowUpError(f"field exceeded {_BLOWUP_FACTOR:.0e} * A at t={t:.3f}")
         ts.append(t)
         fields.append(p.copy())
     ts = np.array(ts)

@@ -59,7 +59,7 @@ def test_criterion_1_pure_background_identity():
     res_real = max(np.abs(a1 - 1).max(), np.abs(a2 - 1).max(),
                    np.abs(b1).max(), np.abs(b2).max())
     y = np.linspace(-0.95, 0.95, 81)
-    a1c, a2c, b1c, b2c = scattering_data(prof, 1j * y, cut_side="minus")
+    a1c, a2c, b1c, b2c = scattering_data(prof, 1j * y)
     res_cut = max(np.abs(a1c - 1).max(), np.abs(a2c - 1).max(),
                   np.abs(b1c).max(), np.abs(b2c).max())
     elapsed = time.monotonic() - t0

@@ -15,7 +15,7 @@ class TestFBranch:
         assert f_branch(-1.0, 1.0) == pytest.approx(-np.sqrt(2), abs=1e-13)
 
     def test_cut_minus_side(self):
-        val = f_branch(0.5j, 1.0, on_cut_side="minus")
+        val = f_branch(0.5j, 1.0)
         assert abs(val - np.sqrt(0.75)) < 1e-10
 
     def test_large_k(self):
@@ -78,7 +78,7 @@ class TestEMatrix:
     def test_cut_jump(self):
         # plus side (left) relates to minus side by i * sigma1 on the right
         A, y, eps = 1.0, 0.4, 1e-8
-        Em = E_matrix(1j * y, A, on_cut_side="minus")
+        Em = E_matrix(1j * y, A)
         Ep = 2 * E_matrix(1j * y - eps / 2, A) - E_matrix(1j * y - eps, A)
         assert np.abs(Ep - 1j * Em @ SIGMA1).max() < 1e-10
 

@@ -45,6 +45,23 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize("t_list", [[0.0, 1.0], [-2.0, 1.0]])
+    def test_t_list_positive(self, t_list):
+        bad = dict(CFG)
+        bad["t_list"] = t_list
+        with pytest.raises(ValueError, match="positive"):
+            RunConfig.from_json(json.dumps(bad))
+
+    def test_ignored_schema1_keys(self):
+        # older schema-1 files carry keys that no longer set anything
+        cfg = RunConfig.from_json(json.dumps(
+            dict(CFG, tolerances={"quad": 1e-9}, out_dir="elsewhere", seed=7)))
+        plain = {k: v for k, v in CFG.items() if k not in ("out_dir", "seed")}
+        ref = RunConfig.from_json(json.dumps(plain))
+        assert (cfg.A, cfg.rays, cfg.t_list, cfg.grid) == (
+            ref.A, ref.rays, ref.t_list, ref.grid)
+        assert np.array_equal(cfg.profile.samples, ref.profile.samples)
+
 
 class TestRun:
     def test_both_regions_computed(self, report):
@@ -106,7 +123,7 @@ class TestEmitReport:
 
     def test_empty_rays_header_only(self, tmp_path):
         rep = ComparisonReport(config_summary={}, assumptions={}, rays=[])
-        files = emit_report(rep, str(tmp_path / "d"), formats=("csv",))
+        files = emit_report(rep, str(tmp_path / "d"))
         assert open(files[0]).read() == "xi,t,abs_q_sim,abs_q_asym,abs_err,rel_err\n"
 
     def test_json_round_trip_stable(self, report, tmp_path):
@@ -140,3 +157,15 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "F_inf" in out["1.2"]
+
+    @pytest.mark.parametrize("command, xi", [("planewave", 1.2),
+                                             ("elliptic", 0.35)])
+    def test_constants_match_run(self, report, tmp_path, capsys, command, xi):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        assert main([command, "--config", str(cfg_path), "--ray", str(xi)]) == 0
+        printed = json.loads(capsys.readouterr().out)[f"{xi:g}"]
+        ray = next(r for r in report.rays if r.xi == xi)
+        assert printed == json.loads(json.dumps(ray.constants))

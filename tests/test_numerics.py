@@ -135,6 +135,18 @@ class TestQuadPath:
             val = quad_path(lambda z: f(z / rot), path, tol=1e-12)
             assert abs(val / rot - exact) < 1e-10
 
+    def test_log_end_where_the_coordinate_rounds(self):
+        # toward a log end away from the origin, the graded mesh's smallest
+        # offsets vanish against the end's coordinates; no node may land on
+        # the end itself, along the real axis or a rotated direction
+        path = ComplexPath.segment(0, 1, "none", "log")
+        val = quad_path(lambda z: np.log(1 - z), path, tol=1e-12)
+        assert abs(val - (-1.0)) < 1e-12
+        w = np.exp(0.25j * np.pi)
+        path = ComplexPath.segment(0, w, "none", "log")
+        val = quad_path(lambda z: np.log(w - z), path, tol=1e-12)
+        assert abs(val - w * (0.25j * np.pi - 1.0)) < 1e-12
+
     def test_refined_peak_closed_form(self):
         # many refinement levels: a Lorentzian of width 1e-3 inside [0, 1]
         w = 1e-3

@@ -36,11 +36,11 @@ class ZeroReflectionTable:
     def max_abs_winding(self, k_stop):
         return 0.0
 
-    def reflection_at(self, k, cut_side="off"):
+    def reflection_at(self, k):
         z = np.zeros_like(np.asarray(k, dtype=complex))
         return z, z
 
-    def rr(self, k, cut_side="off"):
+    def rr(self, k):
         return 1.0 + 0.0 * np.asarray(k, dtype=complex)
 
 
@@ -52,7 +52,7 @@ class SyntheticRealTable(ZeroReflectionTable):
         out = 0.05 * np.exp(-((k + 1.2) ** 2)) + 0j
         return out if out.ndim else complex(out)
 
-    def rr(self, k, cut_side="off"):
+    def rr(self, k):
         return np.exp(self.log_rr(k))
 
 

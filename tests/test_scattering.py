@@ -50,8 +50,8 @@ class TestJost:
             psi = jost_at_origin(bg_profile, ks, side=side)
             assert np.abs(psi - E_matrix(ks, 1.0)).max() < 1e-13
         y = np.array([0.3, -0.9])
-        psi = jost_at_origin(bg_profile, 1j * y, side=2, cut_side="minus")
-        assert np.abs(psi - E_matrix(1j * y, 1.0, "minus")).max() < 1e-13
+        psi = jost_at_origin(bg_profile, 1j * y, side=2)
+        assert np.abs(psi - E_matrix(1j * y, 1.0)).max() < 1e-13
 
     def test_unit_determinant(self, verif_profile):
         ks = np.array([0.7, -1.3, 2.4])
@@ -62,7 +62,7 @@ class TestJost:
 
     def test_unit_determinant_on_cut(self, verif_profile):
         psi = jost_at_origin(verif_profile, 1j * np.array([0.3, -0.2]),
-                             side=2, cut_side="minus")
+                             side=2)
         det = psi[:, 0, 0] * psi[:, 1, 1] - psi[:, 0, 1] * psi[:, 1, 0]
         assert np.abs(det - 1).max() < 1e-10
 
@@ -72,14 +72,14 @@ class TestJost:
         assert abs(psi[1, 0]) < 5e-3
 
 
-def _dop853_jost(profile, ks, cut_side="off"):
+def _dop853_jost(profile, ks):
     """Oracle for Psi_1(0, 0, k) and Psi_2(0, 0, k): DOP853 (rtol 1e-13) from
     knot to knot of the sample grid, on which the interpolant of q0 is one
     polynomial of degree <= 3, fitted here through four q0 values per cell.
     Both sides are stepped together in x from -L to 0, side 2 at -x."""
     ks = np.asarray(ks, dtype=complex)
-    ifs = 1j * f_branch(ks, profile.A, cut_side)[:, None, None] * np.array([1.0, -1.0])
-    E = E_matrix(ks, profile.A, cut_side)
+    ifs = 1j * f_branch(ks, profile.A)[:, None, None] * np.array([1.0, -1.0])
+    E = E_matrix(ks, profile.A)
     k = ks[:, None]
     knots = np.linspace(-profile.support_L, profile.support_L,
                         profile.samples.size)
@@ -124,9 +124,9 @@ class TestAgainstOracle:
 
     TOL = 1e-10
 
-    def _check_all(self, profile, ks, cut_side="off"):
-        oracle = _determinants(*_dop853_jost(profile, ks, cut_side))
-        for got, ref in zip(scattering_data(profile, ks, cut_side), oracle):
+    def _check_all(self, profile, ks):
+        oracle = _determinants(*_dop853_jost(profile, ks))
+        for got, ref in zip(scattering_data(profile, ks), oracle):
             assert np.abs(got - ref).max() < self.TOL
 
     def test_verification_profile(self, verif_profile):
@@ -144,7 +144,7 @@ class TestAgainstOracle:
 
     def test_cut_sides_near_branch_points(self, verif_profile):
         # one solve from E and f on the minus side, no offset extrapolation
-        self._check_all(verif_profile, np.array([0.4999j, -0.4999j]), "minus")
+        self._check_all(verif_profile, np.array([0.4999j, -0.4999j]))
 
     def test_box(self):
         self._check_all(InitialProfile.box(1.0, 0.3, 2.0), np.array([0.5, -1.5]))
@@ -198,15 +198,14 @@ class TestSpectralFunctions:
 
     def test_unimodularity_on_cut(self, verif_profile):
         y = np.linspace(-0.45, 0.45, 13)
-        a1, a2, b1, b2 = scattering_data(verif_profile, 1j * y,
-                                         cut_side="minus")
+        a1, a2, b1, b2 = scattering_data(verif_profile, 1j * y)
         assert np.abs(a1 * a2 + b1 * b2 - 1).max() < 1e-8
 
     def test_endpoint_growth_bounded(self, verif_profile):
         # (k - iA)^(1/2) * a_j stays bounded approaching iA along the cut
         A = verif_profile.A
         y = A * (1 - np.geomspace(1e-6, 1e-2, 10))
-        a1 = scattering_data(verif_profile, 1j * y, cut_side="minus")[0]
+        a1 = scattering_data(verif_profile, 1j * y)[0]
         scaled = np.abs(np.sqrt(np.abs(1j * y - 1j * A)) * a1)
         assert scaled.max() < 10 * scaled.min() + 1.0
 
@@ -306,7 +305,7 @@ class TestReflection:
     def test_bounded_near_endpoints(self, verif_profile):
         A = verif_profile.A
         y = A * (1 - np.geomspace(1e-5, 1e-1, 10))
-        r1, r2 = reflection(verif_profile, 1j * y, cut_side="minus")
+        r1, r2 = reflection(verif_profile, 1j * y)
         assert np.abs(r1).max() < 50
         assert np.abs(r2).max() < 50
 

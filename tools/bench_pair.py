@@ -12,10 +12,9 @@ run as long as ``run_seconds`` in BENCHMARK.json.  One traced run per side
 of ``compare_readme`` and of ``ray_sweep`` adds the per-layer times and
 k-point counts, and a separate fresh process per side counts the work of
 three stages on the README config: the line table, ``validate_assumptions``
-and one ``elliptic_data`` at ``xi = 0.35``.  Jost work is counted as
-right-hand-side calls on trees with the adaptive DP5(4) solver and as Magnus
-cell steps times k-points on trees without it; the elliptic ray also counts
-the integrand calls of the adaptive quadrature and the points they get.
+and one ``elliptic_data`` at ``xi = 0.35``.  Jost work is counted as Magnus
+cell steps times k-points; the elliptic ray also counts the integrand calls
+of the adaptive quadrature and the points they get.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about 45 minutes.  Temporary trees go to ``TMPDIR``.
@@ -46,31 +45,16 @@ import nnlslab.scattering as sc
 from nnlslab.background import classify_ray
 from nnlslab.harness import RunConfig
 
+# Magnus on the sample cells: cell steps times k-points, where a side has
+# samples // 2 sample cells, each cut into `split` parts
 calls = [0]
-if hasattr(sc, "_jost_rhs"):
-    # adaptive DP5(4): every right-hand-side evaluation
-    unit = "rhs_calls"
-    jost_rhs = sc._jost_rhs
+propagate = sc._propagate
 
-    def counting(*args, **kwargs):
-        rhs = jost_rhs(*args, **kwargs)
-        def counted(x, Y):
-            calls[0] += 1
-            return rhs(x, Y)
-        return counted
+def counting(profile, side, split, ks, *args):
+    calls[0] += profile.samples.size // 2 * split * ks.size
+    return propagate(profile, side, split, ks, *args)
 
-    sc._jost_rhs = counting
-else:
-    # Magnus on the sample cells: cell steps times k-points, where a side
-    # has samples // 2 sample cells, each cut into `split` parts
-    unit = "magnus_cell_kpoints"
-    propagate = sc._propagate
-
-    def counting(profile, side, split, ks, *args):
-        calls[0] += profile.samples.size // 2 * split * ks.size
-        return propagate(profile, side, split, ks, *args)
-
-    sc._propagate = counting
+sc._propagate = counting
 
 # every integrand call of the adaptive quadrature, and the points it gets
 integrand = {"integrand_calls": 0, "integrand_points": 0}
@@ -96,10 +80,7 @@ for stage, work in (
     integrand.update(integrand_calls=0, integrand_points=0)
     t0 = time.perf_counter()
     work()
-    out[stage] = {"s": time.perf_counter() - t0, unit: calls[0]}
-    if unit == "rhs_calls":
-        # each tried DP5(4) step evaluates the RHS at its 7 stages
-        out[stage]["dp_steps_tried"] = calls[0] // 7
+    out[stage] = {"s": time.perf_counter() - t0, "magnus_cell_kpoints": calls[0]}
     if stage == "elliptic_ray":
         out[stage].update(integrand)
 print(json.dumps(out))
