@@ -26,13 +26,13 @@ import sys
 
 import numpy as np
 
-from .background import classify_ray
+from .background import RayRegion, classify_ray
 from .ellipticwave import elliptic_data
 from .harness import RunConfig, emit_report, run
 from .numerics import json_value
 from .planewave import planewave_params
 from .scattering import SpectralTable, validate_assumptions
-from .simulator import SimGrid, simulate, trajectory_to_csv, write_snapshots
+from .simulator import simulate, trajectory_to_csv, write_snapshots
 
 
 def _load_config(path):
@@ -41,59 +41,48 @@ def _load_config(path):
 
 
 def cmd_scatter(cfg, args):
-    ks = [float(k) for k in args.k] if args.k else list(np.linspace(-5, 5, 21))
-    tab = SpectralTable(cfg.profile)
-    out = []
-    for k in ks:
-        if k == 0.0:
-            continue
-        a1, a2, b1, b2 = tab.at(np.array([k]))
-        out.append({"k": k, "a1": json_value(a1[0]), "a2": json_value(a2[0]),
-                    "b1": json_value(b1[0]), "b2": json_value(b2[0])})
+    ks = np.array([float(k) for k in args.k] if args.k
+                  else np.linspace(-5, 5, 21))
+    ks = ks[ks != 0.0]
+    a1, a2, b1, b2 = SpectralTable(cfg.profile).at(ks)
+    out = [{"k": k, "a1": json_value(v1), "a2": json_value(v2),
+            "b1": json_value(w1), "b2": json_value(w2)}
+           for k, v1, v2, w1, w2 in zip(ks, a1, a2, b1, b2)]
     print(json.dumps(out, sort_keys=True, indent=1))
     return 0
+
+
+def _print_rays(cfg, args, region, per_rays):
+    """Print ``per_rays(table, rays)``, one dict per ray, keyed by xi: for
+    the --ray values, else for the config rays (of ``region`` unless None)."""
+    xis = [float(x) for x in args.ray] if args.ray else [
+        xi for xi in cfg.rays
+        if region in (None, classify_ray(xi, cfg.A).region)]
+    rays = [classify_ray(xi, cfg.A) for xi in xis]
+    out = per_rays(SpectralTable(cfg.profile), rays)
+    print(json.dumps({f"{ray.xi:g}": d for ray, d in zip(rays, out)},
+                     sort_keys=True, indent=1))
+    return 0
+
+
 def cmd_validate(cfg, args):
-    tab = SpectralTable(cfg.profile)
-    rays = [float(x) for x in args.ray] if args.ray else cfg.rays
-    out = {}
-    for xi in rays:
-        rep = validate_assumptions(tab, classify_ray(xi, cfg.A))
-        out[f"{xi:g}"] = {
-            "zero_count_upper": rep.zero_count_upper,
-            "zero_count_lower": rep.zero_count_lower,
-            "winding_ok": rep.winding_ok,
-            "max_abs_winding": rep.max_abs_winding,
-            "region": rep.region_checked.region.value,
-        }
-    print(json.dumps(out, sort_keys=True, indent=1))
-    return 0
+    return _print_rays(cfg, args, None, lambda tab, rays: [
+        dict(rep.to_dict(), region=rep.region_checked.region.value)
+        for rep in validate_assumptions(tab, rays)])
 
 
 def cmd_planewave(cfg, args):
-    tab = SpectralTable(cfg.profile)
-    rays = [float(x) for x in args.ray] if args.ray else cfg.rays
-    out = {}
-    for xi in rays:
-        out[f"{xi:g}"] = planewave_params(xi, tab).to_dict()
-    print(json.dumps(out, sort_keys=True, indent=1))
-    return 0
+    return _print_rays(cfg, args, RayRegion.PLANE_WAVE, lambda tab, rays: [
+        planewave_params(abs(ray.xi), tab).to_dict() for ray in rays])
 
 
 def cmd_elliptic(cfg, args):
-    tab = SpectralTable(cfg.profile)
-    rays = [float(x) for x in args.ray] if args.ray else cfg.rays
-    out = {}
-    for xi in rays:
-        out[f"{xi:g}"] = elliptic_data(xi, cfg.A, tab).to_dict()
-    print(json.dumps(out, sort_keys=True, indent=1))
-    return 0
+    return _print_rays(cfg, args, RayRegion.ELLIPTIC_WAVE, lambda tab, rays: [
+        elliptic_data(abs(ray.xi), cfg.A, tab).to_dict() for ray in rays])
 
 
 def cmd_simulate(cfg, args):
-    t_max = args.tmax if args.tmax else max(cfg.t_list)
-    xi_max = max(abs(x) for x in cfg.rays)
-    grid = cfg.grid or SimGrid.for_run(cfg.profile, xi_max, t_max)
-    traj = simulate(cfg.profile, grid)
+    traj = simulate(cfg.profile, cfg.sim_grid(args.tmax or max(cfg.t_list)))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
     bin_path = os.path.join(args.out, "snapshots.bin")

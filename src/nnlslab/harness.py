@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .background import RayRegion, classify_ray
 from .ellipticwave import elliptic_data, elliptic_eval
 from .planewave import planewave_eval, planewave_params
-from .scattering import (InitialProfile, SpectralTable, validate_assumptions,
-                         winding_k_stop)
+from .scattering import InitialProfile, SpectralTable, validate_assumptions
 from .simulator import SimGrid, sample_ray, simulate
 
 __all__ = ["RunConfig", "RayResult", "ComparisonReport", "run", "emit_report"]
@@ -67,6 +66,14 @@ class RunConfig:
             grid=grid,
         )
 
+    def sim_grid(self, t_max):
+        """The configured grid run to t_max, else SimGrid.for_run's grid
+        for the widest ray."""
+        if self.grid is None:
+            return SimGrid.for_run(self.profile,
+                                   max(abs(x) for x in self.rays), t_max)
+        return replace(self.grid, t_max=t_max)
+
 
 @dataclass
 class RayResult:
@@ -78,6 +85,15 @@ class RayResult:
     rows: list = field(default_factory=list)  # (t, abs_sim, abs_asym)
     decay_exponent: float = float("nan")
     decay_r2: float = float("nan")
+
+
+#: the columns of a comparison row after xi, in report.json and comparison.csv
+_ROW_KEYS = ("t", "abs_q_sim", "abs_q_asym", "abs_err", "rel_err")
+
+
+def _row_values(t, s, a):
+    err = abs(s - a)
+    return t, s, a, err, err / a if a else float("inf")
 
 
 @dataclass
@@ -98,16 +114,8 @@ class ComparisonReport:
                     "skipped": r.skipped,
                     "reason": r.reason,
                     "constants": r.constants,
-                    "rows": [
-                        {
-                            "t": t,
-                            "abs_q_sim": s,
-                            "abs_q_asym": a,
-                            "abs_err": abs(s - a),
-                            "rel_err": abs(s - a) / a if a else float("inf"),
-                        }
-                        for (t, s, a) in r.rows
-                    ],
+                    "rows": [dict(zip(_ROW_KEYS, _row_values(*row)))
+                             for row in r.rows],
                     "decay_exponent": r.decay_exponent,
                     "decay_r2": r.decay_r2,
                 }
@@ -132,87 +140,59 @@ def _fit_decay(ts, errs):
     return float(slope), float(r2)
 
 
-def _planewave_ray(xi, spectral, t_list, sampled):
-    pwd = planewave_params(xi, spectral)
-    rows = []
-    for t in t_list:
-        qp, qm, E1, E2 = planewave_eval(pwd, t)
-        sim = sampled(t)
-        rows.append((t, abs(sim[0]), abs(qp)))
-        rows.append((t, abs(sim[1]), abs(qm)))
-    return pwd.to_dict(), rows
-
-
-def _elliptic_ray(xi, A, spectral, t_list, sampled):
-    ed = elliptic_data(xi, A, spectral)
-    rows = []
-    for t in t_list:
-        qp, qm = elliptic_eval(ed, t)
-        sim = sampled(t)
-        rows.append((t, abs(sim[0]), abs(qp)))
-        rows.append((t, abs(sim[1]), abs(qm)))
-    return ed.to_dict(), rows
+def _ray_asymptotics(ray, A, spectral):
+    """The constants of a plane-wave or elliptic ray at |xi| and the
+    evaluator t -> (q(4 xi t), q(-4 xi t)) of its asymptotics."""
+    xi = abs(ray.xi)
+    if ray.region is RayRegion.PLANE_WAVE:
+        pwd = planewave_params(xi, spectral)
+        return pwd.to_dict(), lambda t: planewave_eval(pwd, t)[:2]
+    if ray.region is RayRegion.ELLIPTIC_WAVE:
+        ed = elliptic_data(xi, A, spectral)
+        return ed.to_dict(), lambda t: elliptic_eval(ed, t)
+    raise RuntimeError("transition rays are out of scope")
 
 
 def run(config):
-    """Full pipeline: classify -> validate -> asymptotics -> simulate ->
+    """Full pipeline: classify -> simulate -> validate -> asymptotics ->
     compare; per-ray failures are captured, not fatal."""
-    profile = config.profile
     A = config.A
-    spectral = SpectralTable(profile)
-    t_max = max(config.t_list)
-    xi_max = max(abs(x) for x in config.rays)
-    grid = config.grid or SimGrid.for_run(profile, xi_max, t_max)
-    traj = simulate(profile, grid)
+    spectral = SpectralTable(config.profile)
+    grid = config.sim_grid(max(config.t_list))
+    traj = simulate(config.profile, grid)
+    rays = [classify_ray(xi, A) for xi in config.rays]
+    try:
+        reports = validate_assumptions(spectral, rays)
+    except Exception as exc:  # noqa: BLE001 - skips every ray
+        reports = [exc] * len(rays)
 
-    # zero counting is ray independent: validate once on the widest ray and
-    # reuse the counts, re-deriving only the per-region winding bound
     assumptions = {}
     ray_results = []
-    base_rep = None
-    for xi in config.rays:
-        ray = classify_ray(xi, A)
+    for xi, ray, rep in zip(config.rays, rays, reports):
         result = RayResult(xi=xi, region=ray.region.value)
         try:
-            if base_rep is None:
-                base_rep = validate_assumptions(spectral,
-                                                classify_ray(xi_max, A))
-            wind = spectral.max_abs_winding(winding_k_stop(ray, A))
-            assumptions[f"{xi:g}"] = {
-                "zero_count_upper": base_rep.zero_count_upper,
-                "zero_count_lower": base_rep.zero_count_lower,
-                "winding_ok": bool(wind < np.pi),
-                "max_abs_winding": wind,
-            }
-            if base_rep.zero_count_upper or base_rep.zero_count_lower:
+            if isinstance(rep, Exception):
+                raise rep
+            assumptions[f"{xi:g}"] = rep.to_dict()
+            if rep.zero_count_upper or rep.zero_count_lower:
                 raise RuntimeError(
                     f"spectral zeros present "
-                    f"({base_rep.zero_count_upper}, {base_rep.zero_count_lower})"
+                    f"({rep.zero_count_upper}, {rep.zero_count_lower})"
                 )
-            if wind >= np.pi:
+            if not rep.winding_ok:
                 raise RuntimeError("winding assumption violated")
 
             samples = sample_ray(traj, abs(xi))
             s_ts = np.array([s[0] for s in samples])
-
-            def sampled(t):
-                i = int(np.argmin(np.abs(s_ts - t)))
-                return samples[i][1], samples[i][2]
-
-            if ray.region is RayRegion.PLANE_WAVE:
-                consts, rows = _planewave_ray(abs(xi), spectral,
-                                              config.t_list, sampled)
-            elif ray.region is RayRegion.ELLIPTIC_WAVE:
-                consts, rows = _elliptic_ray(abs(xi), A, spectral,
-                                             config.t_list, sampled)
-            else:
-                raise RuntimeError("transition rays are out of scope")
-            result.constants = consts
-            result.rows = rows
-            errs = [abs(s - a) for (_, s, a) in rows]
+            result.constants, q_asym = _ray_asymptotics(ray, A, spectral)
+            for t in config.t_list:
+                _, sim_p, sim_m = samples[int(np.argmin(np.abs(s_ts - t)))]
+                q_p, q_m = q_asym(t)
+                result.rows += [(t, abs(sim_p), abs(q_p)),
+                                (t, abs(sim_m), abs(q_m))]
             result.decay_exponent, result.decay_r2 = _fit_decay(
-                [t for (t, _, _) in rows], errs
-            )
+                [t for (t, _, _) in result.rows],
+                [abs(s - a) for (_, s, a) in result.rows])
         except Exception as exc:  # noqa: BLE001 - per-ray isolation
             result.skipped = True
             result.reason = f"{type(exc).__name__}: {exc}"
@@ -237,14 +217,11 @@ def emit_report(report, out_dir):
     paths = [os.path.join(out_dir, name)
              for name in ("comparison.csv", "report.json", "constants.json")]
     with open(paths[0], "w") as fh:
-        fh.write("xi,t,abs_q_sim,abs_q_asym,abs_err,rel_err\n")
+        fh.write(",".join(("xi",) + _ROW_KEYS) + "\n")
         for r in report.rays:
-            for (t, s, a) in r.rows:
-                rel = abs(s - a) / a if a else float("inf")
-                fh.write(
-                    f"{r.xi:.12e},{t:.12e},{s:.12e},{a:.12e},"
-                    f"{abs(s - a):.12e},{rel:.12e}\n"
-                )
+            for row in r.rows:
+                fh.write(",".join(f"{v:.12e}" for v in (r.xi, *_row_values(*row)))
+                         + "\n")
     consts = {f"{r.xi:g}": r.constants for r in report.rays}
     for path, obj in zip(paths[1:], (report.to_dict(), consts)):
         with open(path, "w") as fh:

@@ -9,7 +9,7 @@ complex points and return arrays of the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,13 +19,11 @@ from scipy.special import gamma as _scipy_gamma
 
 __all__ = [
     "ComplexPath",
-    "BranchTracker",
     "QuadratureError",
     "PhaseUnwrapError",
     "RootFindError",
     "gamma_complex",
     "theta3",
-    "gauss_legendre",
     "quad_path",
     "cauchy_segment",
     "bracket_root",
@@ -40,8 +38,10 @@ _SING_TAGS = ("none", "inverse_sqrt", "log")
 #: singularities; 0.25**_LOG_GRADE_LEVELS reaches ~1e-17 of the panel width
 _LOG_GRADE_RATIO = 0.25
 _LOG_GRADE_LEVELS = 28
-#: Gauss-Legendre points per panel of the adaptive rule
+#: Gauss-Legendre points per panel of the adaptive rule, and their nodes
+#: and weights on [-1, 1]
 _GL_POINTS = 15
+_GL_X, _GL_W = leggauss(_GL_POINTS)
 
 
 class QuadratureError(RuntimeError):
@@ -85,29 +85,6 @@ class ComplexPath:
         return cls((complex(a), complex(b)), (start, end))
 
 
-@dataclass(frozen=True)
-class BranchTracker:
-    """Ordered samples of a nonvanishing function with their unwrapped logs."""
-
-    samples: np.ndarray
-    unwrapped_log: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if self.unwrapped_log is None:
-            object.__setattr__(self, "unwrapped_log", continuous_log(samples))
-        logs = np.asarray(self.unwrapped_log, dtype=complex)
-        object.__setattr__(self, "unwrapped_log", logs)
-        gaps = np.abs(np.diff(logs.imag))
-        if gaps.size and gaps.max() >= np.pi:
-            raise PhaseUnwrapError("unwrapped phase gap >= pi; refine the grid")
-
-    @property
-    def total_winding(self):
-        return float(self.unwrapped_log.imag[-1] - self.unwrapped_log.imag[0])
-
-
 def gamma_complex(z):
     """Euler Gamma function for complex argument.
 
@@ -143,29 +120,6 @@ def theta3(v, tau):
     return out if out.ndim else complex(out)
 
 
-_GL_CACHE = {}
-
-
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
-
-
-def gauss_legendre(f, a, b, n=15):
-    """Fixed n-point Gauss-Legendre rule on the straight segment [a, b]."""
-    x, w = _gl_nodes(n)
-    a = complex(a)
-    b = complex(b)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * x))
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite integrand value on path interior")
-    return half * np.sum(w * vals)
-
-
 def _adaptive_panels(f, a, b, seeds, tol, max_panels):
     """Level-batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
 
@@ -173,17 +127,16 @@ def _adaptive_panels(f, a, b, seeds, tol, max_panels):
     Accepts a panel when |I_panel - I_left - I_right| <= tol * panel_fraction.
     All panels of one refinement level go to the integrand in a single call.
     """
-    x, w = _gl_nodes(_GL_POINTS)
     span = b - a
 
     def rule(tlo, thi):
         tm = 0.5 * (tlo + thi)
         th = 0.5 * (thi - tlo)
-        nodes = a + (tm[:, None] + th[:, None] * x) * span
+        nodes = a + (tm[:, None] + th[:, None] * _GL_X) * span
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("non-finite integrand value on path interior")
-        return th * span * (vals @ w)
+        return th * span * (vals @ _GL_W)
 
     tlo, thi = (np.array(t, dtype=float) for t in zip(*seeds))
     total_t = float(np.sum(thi - tlo))
@@ -229,11 +182,10 @@ def _log_seeds(a, span):
     would round onto the end itself (where a log integrand is infinite);
     that happens only when a + t*span loses t against |a| in every
     coordinate."""
-    x = _gl_nodes(_GL_POINTS)[0]
     levels = _LOG_GRADE_LEVELS
     while levels > 1:
         quarter = 0.25 * _LOG_GRADE_RATIO ** levels
-        if a + (quarter + quarter * x[0]) * span != a:
+        if a + (quarter + quarter * _GL_X[0]) * span != a:
             break
         levels -= 1
     edges = [_LOG_GRADE_RATIO ** j for j in range(levels, 0, -1)]

@@ -313,7 +313,6 @@ def planewave_params(xi, spectral):
     if not xi > np.sqrt(2.0) * A:
         raise ValueError("plane-wave rays require xi > sqrt(2) A")
     k1 = float(stationary_points(xi, A)[0].real)
-    _check_winding(spectral, k1)
     nu, chi, Delta = local_exponents(k1, spectral)
     interp = _lndelta_on_B(k1, spectral)
     Finf = F_inf(k1, spectral, _interp=interp)

@@ -541,13 +541,19 @@ class SpectralTable:
 class AssumptionReport:
     zero_count_upper: int
     zero_count_lower: int
-    winding_ok: bool
     max_abs_winding: float
     region_checked: Ray
 
-    def __post_init__(self):
-        if self.winding_ok != (self.max_abs_winding < np.pi):
-            raise ValueError("winding_ok must mirror max_abs_winding < pi")
+    @property
+    def winding_ok(self):
+        return bool(self.max_abs_winding < np.pi)
+
+    def to_dict(self):
+        """The zero counts and the winding bound as a report carries them."""
+        return {"zero_count_upper": self.zero_count_upper,
+                "zero_count_lower": self.zero_count_lower,
+                "winding_ok": self.winding_ok,
+                "max_abs_winding": self.max_abs_winding}
 
 
 def _winding_on_polyline(eval_fn, verts):
@@ -591,18 +597,19 @@ def winding_k_stop(ray, A):
     return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A
 
 
-def validate_assumptions(spectral, ray):
-    """Check the two standing assumptions for one ray.
+def validate_assumptions(spectral, rays):
+    """Check the two standing assumptions for a list of rays; one report each.
 
     Zero counts come from argument-principle winding of a1 (upper half plane,
-    sleeve cut out around (0, iA]) and a2 (mirrored); the winding bound uses
-    the unwrapped argument table of 1 + r1*r2 up to ``winding_k_stop``.
+    sleeve cut out around (0, iA]) and a2 (mirrored), counted once on a
+    contour sized by the widest ray; the winding bound of each ray uses the
+    unwrapped argument table of 1 + r1*r2 up to its ``winding_k_stop``.
     Each contour integrates only the two Jost columns of its own
     determinant, the ones that stay bounded in its half plane.
     """
     profile = spectral.profile
     A = profile.A
-    K = 10.0 * max(A, abs(ray.xi), 1.0)
+    K = 10.0 * max(A, 1.0, *(abs(ray.xi) for ray in rays))
     # the contours run eps off the real axis and a sleeve s around the cut
     eps = s = 1e-3
 
@@ -634,11 +641,7 @@ def validate_assumptions(spectral, ray):
             f"(min |a| = {min(min_a1, min_a2):.2e}); spectral singularity"
         )
 
-    max_wind = spectral.max_abs_winding(winding_k_stop(ray, A))
-    return AssumptionReport(
-        zero_count_upper=n_up,
-        zero_count_lower=n_dn,
-        winding_ok=bool(max_wind < np.pi),
-        max_abs_winding=max_wind,
-        region_checked=ray,
-    )
+    return [AssumptionReport(n_up, n_dn,
+                             spectral.max_abs_winding(winding_k_stop(ray, A)),
+                             ray)
+            for ray in rays]

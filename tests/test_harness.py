@@ -169,3 +169,39 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)[f"{xi:g}"]
         ray = next(r for r in report.rays if r.xi == xi)
         assert printed == json.loads(json.dumps(ray.constants))
+
+    @pytest.mark.parametrize("command, xi", [("planewave", "1.2"),
+                                             ("elliptic", "0.35")])
+    def test_config_rays_of_own_region(self, tmp_path, capsys, command, xi):
+        # CFG mixes both regions: without --ray each command takes its own
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {xi}
+
+    def test_negative_ray_folds_to_abs(self, tmp_path, capsys):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        printed = {}
+        for xi in ("1.2", "-1.2"):
+            assert main(["planewave", "--config", str(cfg_path),
+                         "--ray=" + xi]) == 0
+            printed.update(json.loads(capsys.readouterr().out))
+        assert printed["-1.2"] == printed["1.2"]
+
+    def test_simulate_tmax_overrides_grid(self, tmp_path, capsys):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--tmax", "2"]) == 0
+        with open(out / "trajectory.csv", "rb") as fh:
+            fh.seek(-200, 2)
+            last = fh.read().decode().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(2.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from nnlslab import scattering
 from nnlslab.background import E_matrix, classify_ray, f_branch
 from nnlslab.scattering import (InitialProfile, SpectralTable, jost_at_origin,
                                 reflection, scattering_data,
@@ -331,19 +332,37 @@ class TestSpectralTable:
 class TestValidateAssumptions:
     def test_verification_profile_clean(self, verif_table):
         ray = classify_ray(1.2, 0.5)
-        rep = validate_assumptions(verif_table, ray)
+        [rep] = validate_assumptions(verif_table, [ray])
         assert rep.zero_count_upper == 0
         assert rep.zero_count_lower == 0
         assert rep.winding_ok
         assert rep.max_abs_winding < np.pi
+
+    def test_zeros_counted_once_for_all_rays(self, verif_table, monkeypatch):
+        calls = []
+        winding = scattering._winding_on_polyline
+
+        def counting(eval_fn, verts):
+            calls.append(verts)
+            return winding(eval_fn, verts)
+
+        monkeypatch.setattr(scattering, "_winding_on_polyline", counting)
+        rays = [classify_ray(xi, 0.5) for xi in (1.2, 0.35, 0.7)]
+        reports = validate_assumptions(verif_table, rays)
+        # one contour in each half plane, whatever the number of rays
+        assert len(calls) == 2
+        assert [rep.region_checked for rep in reports] == rays
+        for ray, rep in zip(rays, reports):
+            assert rep.max_abs_winding == verif_table.max_abs_winding(
+                winding_k_stop(ray, 0.5))
 
     def test_k_stop_by_region(self):
         assert winding_k_stop(classify_ray(1.2, 0.5), 0.5) == -0.5 / np.sqrt(2.0)
         assert winding_k_stop(classify_ray(0.35, 0.5), 0.5) == -0.5e-4
 
     def test_pure_background(self, bg_profile):
-        rep = validate_assumptions(SpectralTable(bg_profile),
-                                   classify_ray(2.0, 1.0))
+        [rep] = validate_assumptions(SpectralTable(bg_profile),
+                                     [classify_ray(2.0, 1.0)])
         assert rep.zero_count_upper == 0
         assert rep.zero_count_lower == 0
         assert rep.max_abs_winding < 1e-10
@@ -354,7 +373,7 @@ class TestValidateAssumptions:
         prof = InitialProfile.gaussian_bump(0.5, 0.2, 1.0, chirp=0.3,
                                             center=0.0)
         tab = SpectralTable(prof)
-        rep = validate_assumptions(tab, classify_ray(1.2, 0.5))
+        [rep] = validate_assumptions(tab, [classify_ray(1.2, 0.5)])
         assert rep.zero_count_upper >= 1
         # an even profile couples like the local equation: a2(k) is
         # conj(a1(conj k)), so the lower contour sees the mirrored zeros

@@ -74,7 +74,7 @@ out = {}
 for stage, work in (
         ("line_table", table._build_line),
         ("validate", lambda: sc.validate_assumptions(
-            table, classify_ray(max(cfg.rays), cfg.A))),
+            table, [classify_ray(max(cfg.rays), cfg.A)])),
         ("elliptic_ray", lambda: ew.elliptic_data(0.35, cfg.A, table))):
     calls[0] = 0
     integrand.update(integrand_calls=0, integrand_points=0)
