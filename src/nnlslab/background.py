@@ -64,6 +64,17 @@ def _check_endpoints(k, A):
         raise ValueError("evaluation at the branch points +-iA")
 
 
+def _vertical_root(k, p):
+    """((k - p)(k - conj p))^(1/2) cut on the vertical segment [conj p, p],
+    ~ k at infinity; plain evaluation on the cut gives its right side."""
+    k = np.asarray(k, dtype=complex)
+    pc = np.conj(p)
+    phi = _angle_cut_down(k - p) + _angle_cut_down(k - pc)
+    mod = np.sqrt(np.abs(k - p) * np.abs(k - pc))
+    out = mod * np.exp(0.5j * phi)
+    return out if out.ndim else complex(out)
+
+
 def f_branch(k, A):
     """f(k) = (k^2 + A^2)^(1/2), analytic off [-iA, iA], f(k) ~ k at infinity.
 
@@ -72,11 +83,7 @@ def f_branch(k, A):
     by the angle ranges of ``_angle_cut_down``.
     """
     _check_endpoints(k, A)
-    k = np.asarray(k, dtype=complex)
-    phi = _angle_cut_down(k - 1j * A) + _angle_cut_down(k + 1j * A)
-    mod = np.sqrt(np.abs(k - 1j * A) * np.abs(k + 1j * A))
-    out = mod * np.exp(0.5j * phi)
-    return out if out.ndim else complex(out)
+    return _vertical_root(k, 1j * A)
 
 
 def w_branch(k, A):

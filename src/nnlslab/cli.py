@@ -54,11 +54,14 @@ def cmd_scatter(cfg, args):
 
 def _print_rays(cfg, args, region, per_rays):
     """Print ``per_rays(table, rays)``, one dict per ray, keyed by xi: for
-    the --ray values, else for the config rays (of ``region`` unless None)."""
-    xis = [float(x) for x in args.ray] if args.ray else [
-        xi for xi in cfg.rays
-        if region in (None, classify_ray(xi, cfg.A).region)]
-    rays = [classify_ray(xi, cfg.A) for xi in xis]
+    the --ray values, else for the config rays (of ``region`` unless None).
+    A --ray outside ``region`` is an error."""
+    rays = [classify_ray(float(xi), cfg.A) for xi in args.ray or cfg.rays]
+    wrong = [ray for ray in rays if region not in (None, ray.region)]
+    if args.ray and wrong:
+        sys.exit(f"nnlslab {args.command}: error: ray {wrong[0].xi:g} is in "
+                 f"the {wrong[0].region.value} region, not {region.value}")
+    rays = [ray for ray in rays if ray not in wrong]
     out = per_rays(SpectralTable(cfg.profile), rays)
     print(json.dumps({f"{ray.xi:g}": d for ray, d in zip(rays, out)},
                      sort_keys=True, indent=1))

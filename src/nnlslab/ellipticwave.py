@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .background import _angle_cut_down, f_branch
+from .background import _vertical_root, f_branch
 from .numerics import (ComplexPath, PhaseUnwrapError, barycentric,
                        bracket_root, cauchy_segment, continuous_log,
                        json_value, quad_path, theta3)
@@ -89,24 +89,11 @@ class EllipticData:
                    for f in fields(self) if f.name != "surface")
         return out
 
-    @property
-    def A(self):
-        return self.surface.A
-
-    @property
-    def xi(self):
-        return self.surface.xi
-
 
 def gamma2(k, alpha):
     """sqrt((k - alpha)(k - conj alpha)) cut along the vertical segment
     [conj alpha, alpha], behaving like k at infinity, positive at k = 0."""
-    k = np.asarray(k, dtype=complex)
-    ac = np.conj(alpha)
-    phi = _angle_cut_down(k - alpha) + _angle_cut_down(k - ac)
-    mod = np.sqrt(np.abs(k - alpha) * np.abs(k - ac))
-    out = mod * np.exp(0.5j * phi)
-    return out if out.ndim else complex(out)
+    return _vertical_root(k, alpha)
 
 
 def gamma_rs(k, A, alpha):
@@ -273,12 +260,12 @@ def _ray_tail_integral(fn, base, tol):
     return val + tail
 
 
-def h_machinery(surface, _raw=False):
+def h_machinery(surface):
     """(H_inf, Omega, h evaluator) for the deformed phase.
 
     h(k) = 2k^2 + 4 xi k + 2A^2 + 2 * sum over both base points of the
-    integral of [dh/4 - (z + xi)] from the base point to k.  With ``_raw``
-    the complex H_inf and Omega are returned without the reality checks.
+    integral of [dh/4 - (z + xi)] from the base point to k.  H_inf and
+    Omega are returned complex; both are real up to quadrature error.
     """
     xi = surface.xi
     A = surface.A
@@ -309,8 +296,6 @@ def h_machinery(surface, _raw=False):
     I_up = _ray_tail_integral(decayed, 1j * A, tol)
     I_dn = _ray_tail_integral(decayed, -1j * A, tol)
     H_inf = 2.0 * (I_up + I_dn) + 2.0 * A * A
-    if not _raw and abs(H_inf.imag) > 1e-6:
-        raise RuntimeError(f"H_inf has imaginary part {H_inf.imag:.2e}")
 
     om_u = quad_path(
         dh, ComplexPath.segment(1j * A, alpha, "inverse_sqrt", "inverse_sqrt"),
@@ -322,8 +307,6 @@ def h_machinery(surface, _raw=False):
         tol=tol,
     )
     Omega = om_u + om_l
-    if not _raw and abs(Omega.imag) > 1e-6:
-        raise RuntimeError(f"Omega has imaginary part {Omega.imag:.2e}")
 
     cuts = [(-1j * A, 1j * A), (np.conj(alpha), alpha)]
 
@@ -349,9 +332,7 @@ def h_machinery(surface, _raw=False):
             )
         return total
 
-    if _raw:
-        return complex(H_inf), complex(Omega), h
-    return float(H_inf.real), float(Omega.real), h
+    return complex(H_inf), complex(Omega), h
 
 
 def _chebyshev_t(n):
@@ -418,9 +399,12 @@ class _BandDelta:
                 - 1j * self.nu * np.log(self.k0 - pts))
         self._interp = barycentric(ts, vals)
 
+    def t(self, z):
+        """The band parameter of z = a + t (b - a)."""
+        return np.real((z - self.a) / (self.b - self.a))
+
     def __call__(self, z):
-        t = np.real((z - self.a) / (self.b - self.a))
-        return self._interp(t) + 1j * self.nu * np.log(self.k0 - z)
+        return self._interp(self.t(z)) + 1j * self.nu * np.log(self.k0 - z)
 
 
 def g_machinery(surface, spectral):
@@ -445,30 +429,20 @@ def g_machinery(surface, spectral):
     bd_l = _BandDelta(spectral, k0, surface.band_lower)
     lnd_B = _lndelta_on_B(k0, spectral)
 
-    def inv_gamma_B(z):
-        return 1.0 / gamma_rs(z, A, alpha)
-
     def inv_gamma_u(z):
         return -1.0 / gamma_rs(z, A, alpha)
 
     def inv_gamma_l(z):
         return 1.0 / gamma_rs(z, A, alpha)
 
-    def t_of(path):
-        a, b = path.vertices[0], path.vertices[-1]
-        return lambda z: np.real((z - a) / (b - a))
-
-    t_u = t_of(surface.band_upper)
-    t_l = t_of(surface.band_lower)
-
     def rho_B(z):
-        return 2.0 * lnd_B(np.imag(z)) * inv_gamma_B(z)
+        return 2.0 * lnd_B(np.imag(z)) * inv_gamma_l(z)
 
     def rho_u(z):
-        return (2.0 * bd_u(z) - lnr1(t_u(z))) * inv_gamma_u(z)
+        return (2.0 * bd_u(z) - lnr1(bd_u.t(z))) * inv_gamma_u(z)
 
     def rho_l(z):
-        return (2.0 * bd_l(z) + lnr2(t_l(z))) * inv_gamma_l(z)
+        return (2.0 * bd_l(z) + lnr2(bd_l.t(z))) * inv_gamma_l(z)
 
     B_path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
     I_B = quad_path(rho_B, B_path, tol=tol)
@@ -479,32 +453,23 @@ def g_machinery(surface, spectral):
     )
     omega = 1j * (I_B + I_u + I_l) / D
 
-    K_B = quad_path(lambda z: rho_B(z) * z, B_path, tol=tol)
-    K_u = quad_path(lambda z: (rho_u(z) + 1j * omega * inv_gamma_u(z)) * z,
-                    surface.band_upper, tol=tol)
-    K_l = quad_path(lambda z: (rho_l(z) + 1j * omega * inv_gamma_l(z)) * z,
-                    surface.band_lower, tol=tol)
+    # the omega-shifted densities of G; G_inf is -1/(2 pi) their first moments
+    densities = (
+        (rho_B, B_path),
+        (lambda z: rho_u(z) + 1j * omega * inv_gamma_u(z), surface.band_upper),
+        (lambda z: rho_l(z) + 1j * omega * inv_gamma_l(z), surface.band_lower),
+    )
+    K_B, K_u, K_l = (quad_path(lambda z: rho(z) * z, path, tol=tol)
+                     for rho, path in densities)
     G_inf = -(K_B + K_u + K_l) / (2.0 * np.pi)
 
     def G(k):
         k = complex(k)
-        gk = gamma_band_cut(k, surface)
-        S = cauchy_segment(
-            lambda z: 2.0 * lnd_B(np.imag(z)) * inv_gamma_B(z),
-            -1j * A, 1j * A, k, tol=tol,
-            endpoint_singularity=("inverse_sqrt", "inverse_sqrt"),
-        )
-        S += cauchy_segment(
-            lambda z: (2.0 * bd_u(z) - lnr1(t_u(z)) + 1j * omega) * inv_gamma_u(z),
-            surface.band_upper.vertices[0], surface.band_upper.vertices[-1],
-            k, tol=tol, endpoint_singularity=("log", "inverse_sqrt"),
-        )
-        S += cauchy_segment(
-            lambda z: (2.0 * bd_l(z) + lnr2(t_l(z)) + 1j * omega) * inv_gamma_l(z),
-            surface.band_lower.vertices[0], surface.band_lower.vertices[-1],
-            k, tol=tol, endpoint_singularity=("log", "inverse_sqrt"),
-        )
-        return np.exp(-gk * S / (2j * np.pi))
+        S = 0.0
+        for rho, path in densities:
+            S += cauchy_segment(rho, *path.vertices, k, tol=tol,
+                                endpoint_singularity=path.endpoint_singularity)
+        return np.exp(-gamma_band_cut(k, surface) * S / (2j * np.pi))
 
     return complex(omega), complex(G_inf), G
 
@@ -512,7 +477,7 @@ def g_machinery(surface, spectral):
 def reality_residuals(surface):
     """Raw imaginary parts and normalization residuals of the h machinery:
     {Im H_inf, Im Omega, |h(iA)|, |b-period of dh|, Im h(alpha)}."""
-    H_inf, Omega, h = h_machinery(surface, _raw=True)
+    H_inf, Omega, h = h_machinery(surface)
     return {
         "im_H_inf": abs(H_inf.imag),
         "im_Omega": abs(Omega.imag),
@@ -549,10 +514,13 @@ def elliptic_data(xi, A, spectral):
     """Assemble every modulated-elliptic ray constant at one xi."""
     surface = build_surface(xi, A)
     H_inf, Omega, _ = h_machinery(surface)
+    for name, val in (("H_inf", H_inf), ("Omega", Omega)):
+        if abs(val.imag) > 1e-6:
+            raise RuntimeError(f"{name} has imaginary part {val.imag:.2e}")
     omega, G_inf, _ = g_machinery(surface, spectral)
     v_inf, c, khat0 = abel_constants(surface)
-    return EllipticData(surface=surface, H_inf=H_inf, Omega=Omega, omega=omega,
-                        G_inf=G_inf, v_inf=v_inf, c=c, khat0=khat0)
+    return EllipticData(surface=surface, H_inf=H_inf.real, Omega=Omega.real,
+                        omega=omega, G_inf=G_inf, v_inf=v_inf, c=c, khat0=khat0)
 
 
 def elliptic_eval(ed, t):

@@ -114,11 +114,6 @@ def _check_winding(spectral, k_end):
         )
 
 
-def _line_phi(spectral):
-    """The unwrapped log of 1 + r1*r2 as a function of points on the real line."""
-    return lambda z: spectral.log_rr(np.real(z))
-
-
 def log_delta(ks, k_end, spectral):
     """log of the lower-half-line factorization function delta(k, k_end).
 
@@ -192,31 +187,25 @@ def delta_fn(k, k1, spectral):
 def chi_fn(k, k_end, spectral):
     """The regular exponent chi(k, k_end) with delta = (k-k_end)^(i nu) e^chi.
 
-    Continuous up to and including k = k_end (the stationary point value
-    chi(k1, k1) enters the subleading constants)."""
-    phi = _line_phi(spectral)
-    tol = 1e-11
+    Off the path: log_delta less L log(k - k_end)/(2 pi i), L = S(k_end) for
+    the line table's spline S.  At k = k_end (the value in c1..c4) the path
+    stops at the last knot a < k_end and the rest of that cell's integral,
+    int_a^k_end (S - L)/(s - k_end) ds - L log(k_end - a), is closed-form."""
     k = complex(k)
     k_end = float(k_end)
-    k_lo = -spectral.k_tail
-    a = min(1.0, 0.25 * (k_end - k_lo))
-    L_end = spectral.log_rr(k_end)
-
-    def phi_shift(z):
-        return phi(z) - L_end
-
-    if abs(k - k_end) < 1e-14:
-        # regular limit: the middle integrand is a smooth difference quotient
-        mid = quad_path(
-            lambda z: phi_shift(z) / (z - k_end),
-            ComplexPath.segment(k_end - a, k_end),
-            tol=tol,
-        )
-        first = cauchy_segment(phi, k_lo, k_end - a, k, tol=tol)
-    else:
-        mid = cauchy_segment(phi_shift, k_end - a, k_end, k, tol=tol)
-        first = cauchy_segment(phi, k_lo, k_end - a, k, tol=tol)
-    return (first + mid - L_end * np.log(k - k_end + a)) / (2j * np.pi)
+    spline = spectral.line_spline
+    m = int(np.searchsorted(spline.x, k_end))
+    if m == 0:
+        # the path lies left of the table, where log(1 + r1 r2) is 0
+        return 0j
+    L = spectral.log_rr(k_end)
+    if abs(k - k_end) >= 1e-14:
+        return log_delta(k, k_end, spectral) - L * np.log(k - k_end) / (2j * np.pi)
+    a = float(spline.x[m - 1])
+    h = k_end - a
+    d3, d2, d1, _ = spline.c[:, m - 1]
+    rest = h * (d1 + 1.5 * d2 * h + 11.0 / 6.0 * d3 * h * h) - L * np.log(h)
+    return log_delta(k_end, a, spectral) + rest / (2j * np.pi)
 
 
 def local_exponents(k1, spectral):
@@ -274,33 +263,20 @@ def F_inf_split(k1, spectral, n=_B_NODES):
     quadrature noise."""
     A = spectral.A
     k_lo = -spectral.k_tail
-
-    def phi_re(z):
-        return spectral.log_rr(np.real(z)).real + 0j
-
-    def phi_im(z):
-        return spectral.log_rr(np.real(z)).imag + 0j
-
     y = _b_nodes(A, n)
-    H_re = np.array(
-        [cauchy_segment(phi_re, k_lo, float(k1), 1j * yy, tol=_F_TOL)
-         for yy in y]
-    )
-    H_im = np.array(
-        [cauchy_segment(phi_im, k_lo, float(k1), 1j * yy, tol=_F_TOL)
-         for yy in y]
-    )
-    # inner integrals are over s, with kernel 1/(s - zeta): flip sign to the
-    # displayed kernel 1/(zeta - s) ... the displays use 1/(s - zeta) directly
-    ip_re = barycentric(y, H_re)
-    ip_im = barycentric(y, H_im)
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
-    outer_re = quad_path(lambda z: ip_re(np.imag(z)) / f_branch(z, A), path,
-                         tol=_F_TOL)
-    outer_im = quad_path(lambda z: ip_im(np.imag(z)) / f_branch(z, A), path,
-                         tol=_F_TOL)
-    re_part = -outer_re / (2j * np.pi**2)
-    im_part = -outer_im / (2j * np.pi**2)
+    halves = []
+    for part in (np.real, np.imag):
+        # inner integrals over s with kernel 1/(s - zeta), zeta = i y
+        H = np.array(
+            [cauchy_segment(lambda z: part(spectral.log_rr(np.real(z))) + 0j,
+                            k_lo, float(k1), 1j * yy, tol=_F_TOL) for yy in y]
+        )
+        ip = barycentric(y, H)
+        outer = quad_path(lambda z: ip(np.imag(z)) / f_branch(z, A), path,
+                          tol=_F_TOL)
+        halves.append(-outer / (2j * np.pi**2))
+    re_part, im_part = halves
     return complex(re_part.real + 1j * im_part.real), float(
         max(abs(re_part.imag), abs(im_part.imag))
     )

@@ -26,6 +26,7 @@ of a1/a2, bounded winding of arg(1 + r1*r2)) have dedicated validators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -438,7 +439,6 @@ class SpectralTable:
     def __init__(self, profile):
         self.profile = profile
         self.A = profile.A
-        self._line = None
         self._b_samples = None
 
     # -- point evaluation --------------------------------------------------
@@ -467,6 +467,7 @@ class SpectralTable:
         return -k
 
     def _build_line(self):
+        """The negative-axis table behind ``_line``."""
         k_tail = self._find_tail()
         k_hi = -1e-4 * self.A
         k_mid = -min(max(10.0 * self.A, 10.0), 0.8 * k_tail)
@@ -474,29 +475,23 @@ class SpectralTable:
         n_geo = max(8, int(24 * np.log2(k_tail / -k_mid)))
         geo = -np.geomspace(k_tail, -k_mid, n_geo, endpoint=False)
         grid = np.concatenate([geo, dense])
-        vals = self.rr(grid)
-        logs = continuous_log(vals)
+        logs = continuous_log(self.rr(grid))
         # the anchor sits where |r1 r2| < _TAIL_TARGET, so its principal
         # argument is already the continuous-from -infinity value
-        self._line = {
-            "k_tail": k_tail,
-            "grid": grid,
-            "rr": vals,
-            "log": logs,
-            "spline": CubicSpline(grid, logs),
-        }
+        return {"k_tail": k_tail, "grid": grid, "log": logs,
+                "spline": CubicSpline(grid, logs)}
+
+    @functools.cached_property
+    def _line(self):
+        return self._build_line()
 
     @property
     def k_tail(self):
-        if self._line is None:
-            self._build_line()
         return self._line["k_tail"]
 
     @property
     def line_spline(self):
         """The CubicSpline of log(1 + r1*r2) on [-k_tail, k_hi] behind log_rr."""
-        if self._line is None:
-            self._build_line()
         return self._line["spline"]
 
     def log_rr(self, k):
@@ -505,8 +500,6 @@ class SpectralTable:
         Points left of the table are in the |r1*r2| < _TAIL_TARGET region and
         evaluate to 0, consistent with the tail truncation of the integrals.
         """
-        if self._line is None:
-            self._build_line()
         k = np.asarray(k, dtype=float)
         lo, hi = self._line["grid"][0], self._line["grid"][-1]
         if np.any(k > hi + 1e-12):
@@ -516,8 +509,6 @@ class SpectralTable:
 
     def max_abs_winding(self, k_stop):
         """Running sup of |arg-accumulation of 1 + r1*r2| up to k_stop."""
-        if self._line is None:
-            self._build_line()
         grid = self._line["grid"]
         mask = grid <= k_stop + 1e-15
         if not np.any(mask):

@@ -155,6 +155,17 @@ class TestHMachinery:
         )
         assert abs(val.real) < 1e-10
 
+    def test_complex_H_inf_rejected(self, verif_table, monkeypatch):
+        h_machinery = ew.h_machinery
+
+        def tilted(surface):
+            H_inf, Omega, h = h_machinery(surface)
+            return H_inf + 1e-3j, Omega, h
+
+        monkeypatch.setattr(ew, "h_machinery", tilted)
+        with pytest.raises(RuntimeError, match="H_inf has imaginary part"):
+            elliptic_data(XI, A, verif_table)
+
     def test_path_crossing_guard(self, surface):
         _, _, h = h_machinery(surface)
         with pytest.raises(ValueError):

@@ -205,3 +205,19 @@ class TestCli:
             fh.seek(-200, 2)
             last = fh.read().decode().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("command, xi, region", [
+        ("planewave", "0.35", "elliptic_wave"),
+        ("elliptic", "1.2", "plane_wave")])
+    def test_ray_of_other_region_is_an_error(self, tmp_path, command, xi,
+                                             region):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--ray", xi])
+        # a string code is printed on stderr and exits with status 1
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert f"ray {xi} is in the {region} region" in msg

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from nnlslab.background import theta_phase
+from nnlslab.background import stationary_points, theta_phase
 from nnlslab.ellipticwave import build_surface
 from nnlslab.numerics import QuadratureError, cauchy_segment
 from nnlslab.planewave import (F_fn, F_inf, F_inf_split, SubleadingCase,
@@ -275,3 +275,78 @@ class TestLogDelta:
         assert abs(log_delta(ks[1, 0], K1, verif_table) - got[1, 0]) < 1e-17
         with pytest.raises(QuadratureError):
             log_delta(np.array([1j, K1 - 0.5]), K1, verif_table)
+
+
+class KnotTable(ZeroReflectionTable):
+    """Complex log(1 + r1*r2) tabulated on 40 uneven knots of [-6, -0.5],
+    of the README profile's size (|log| < 0.05): log_delta's 4-point rule
+    on far cells is good to 1e-12 of each cell's share, which puts 1.1e-14
+    into chi at k_end = -1.2345 for a log six times larger."""
+
+    def __init__(self):
+        x = -6.0 + 5.5 * np.linspace(0.0, 1.0, 40) ** 1.3
+        self.spline = CubicSpline(
+            x, 0.05 * np.exp(-((x + 1.5) ** 2)) + 0.03j * np.sin(x) / (1 + x * x))
+        self.k_tail = -x[0]
+
+    @property
+    def line_spline(self):
+        return self.spline
+
+    def log_rr(self, k):
+        out = self.spline(np.asarray(k, dtype=float))
+        return out if out.ndim else complex(out)
+
+
+class TestChi:
+    """chi(k, k_end) from the product integration of log delta: its value at
+    k_end against a 30-digit quadrature of the regularized integral, and its
+    continuity there."""
+
+    @staticmethod
+    def chi_end_mp(k_end, tab):
+        # (int (S(s) - S(k_end))/(s - k_end) ds - S(k_end) log(k_end - k_lo))
+        # / (2 pi i), with a breakpoint at every knot
+        mp.mp.dps = 30
+        spline = tab.line_spline
+        x = spline.x
+        m = int(np.searchsorted(x, k_end))
+        cells = [[mp.mpc(c.real, c.imag) for c in spline.c[:, i]]
+                 for i in range(m)]
+
+        def S(i, s):
+            u = s - mp.mpf(x[i])
+            d3, d2, d1, d0 = cells[i]
+            return ((d3 * u + d2) * u + d1) * u + d0
+
+        ke = mp.mpf(k_end)
+        L = S(m - 1, ke)
+        ends = [mp.mpf(v) for v in x[:m]] + [ke]
+        total = mp.mpc(0)
+        for i in range(m):
+            total += mp.quad(lambda s: (S(i, s) - L) / (s - ke),
+                             [ends[i], ends[i + 1]])
+        total -= L * mp.log(ke - ends[0])
+        return complex(total / (2j * mp.pi))
+
+    @pytest.mark.parametrize("k_end", [-1.2345, "knot"])
+    def test_end_value_against_mpmath(self, k_end):
+        tab = KnotTable()
+        if k_end == "knot":
+            k_end = float(tab.spline.x[30])
+        ref = self.chi_end_mp(k_end, tab)
+        assert abs(chi_fn(k_end, k_end, tab) - ref) < 1e-14 * (1 + abs(ref))
+
+    def test_continuous_at_k1(self, verif_table):
+        k1 = float(stationary_points(0.8, A)[0].real)
+        at = chi_fn(k1, k1, verif_table)
+        gap = [abs(chi_fn(k1 + eps * np.exp(0.7j), k1, verif_table) - at)
+               for eps in (1e-6, 1e-8)]
+        assert gap[1] < 1e-6
+        assert gap[0] > 30 * gap[1]
+
+    def test_zero_left_of_table(self, verif_table):
+        # rays with k1 < -k_tail see no reflection (xi >= 4.1 here)
+        k_end = -verif_table.k_tail - 1.0
+        assert chi_fn(k_end, k_end, verif_table) == 0
+        assert chi_fn(k_end + 1e-3j, k_end, verif_table) == 0

@@ -72,7 +72,7 @@ cfg = RunConfig.from_json(sys.argv[2])
 table = sc.SpectralTable(cfg.profile)
 out = {}
 for stage, work in (
-        ("line_table", table._build_line),
+        ("line_table", lambda: table.k_tail),
         ("validate", lambda: sc.validate_assumptions(
             table, [classify_ray(max(cfg.rays), cfg.A)])),
         ("elliptic_ray", lambda: ew.elliptic_data(0.35, cfg.A, table))):
