@@ -448,10 +448,9 @@ def g_machinery(surface, spectral):
     I_B = quad_path(rho_B, B_path, tol=tol)
     I_u = quad_path(rho_u, surface.band_upper, tol=tol)
     I_l = quad_path(rho_l, surface.band_lower, tol=tol)
-    D = quad_path(inv_gamma_u, surface.band_upper, tol=tol) + quad_path(
-        inv_gamma_l, surface.band_lower, tol=tol
-    )
-    omega = 1j * (I_B + I_u + I_l) / D
+    # omega = i (I_B + I_u + I_l)/D, D = int_bands 1/gamma = -1/(2 C_norm):
+    # dk/gamma ~ dk/k^2, so its cycles around the bands and around B cancel
+    omega = -2j * surface.C_norm * (I_B + I_u + I_l)
 
     # the omega-shifted densities of G; G_inf is -1/(2 pi) their first moments
     densities = (

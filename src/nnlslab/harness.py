@@ -41,6 +41,8 @@ class RunConfig:
             raise ValueError("t_list must be nonempty and increasing")
         if not min(self.t_list) > 0:
             raise ValueError("t_list times must be positive")
+        if self.profile.A != self.A:
+            raise ValueError(f"profile A {self.profile.A:g} != config A {self.A:g}")
 
     @classmethod
     def from_json(cls, obj):

@@ -42,6 +42,8 @@ _LOG_GRADE_LEVELS = 28
 #: and weights on [-1, 1]
 _GL_POINTS = 15
 _GL_X, _GL_W = leggauss(_GL_POINTS)
+#: panels one segment's adaptive rule may create before it gives up
+_MAX_PANELS = 20000
 
 
 class QuadratureError(RuntimeError):
@@ -120,7 +122,7 @@ def theta3(v, tau):
     return out if out.ndim else complex(out)
 
 
-def _adaptive_panels(f, a, b, seeds, tol, max_panels):
+def _adaptive_panels(f, a, b, seeds, tol):
     """Level-batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
 
     ``seeds`` is a list of (t_lo, t_hi) panels covering the wanted range.
@@ -162,9 +164,9 @@ def _adaptive_panels(f, a, b, seeds, tol, max_panels):
         result += np.sum(left[done] + right[done])
         split = ~done
         n_panels += 2 * int(np.count_nonzero(split))
-        if n_panels > max_panels:
+        if n_panels > _MAX_PANELS:
             raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels "
+                f"quadrature did not converge within {_MAX_PANELS} panels "
                 f"(last panel error {np.max(err[split]):.2e})"
             )
         tlo, tm, thi = tlo[split], tm[split], thi[split]
@@ -194,15 +196,15 @@ def _log_seeds(a, span):
     ] + [(edges[-1], 1.0)]
 
 
-def _quad_segment(f, a, b, start_tag, end_tag, tol, max_panels):
+def _quad_segment(f, a, b, start_tag, end_tag, tol):
     """Integrate f over the straight segment [a, b] honoring endpoint tags."""
     if start_tag != "none" and end_tag != "none":
         mid = 0.5 * (a + b)
-        return _quad_segment(f, a, mid, start_tag, "none", tol / 2, max_panels) + \
-            _quad_segment(f, mid, b, "none", end_tag, tol / 2, max_panels)
+        return _quad_segment(f, a, mid, start_tag, "none", tol / 2) + \
+            _quad_segment(f, mid, b, "none", end_tag, tol / 2)
     if end_tag != "none":
         # mirror so the singular end sits at the start
-        return -_quad_segment(f, b, a, end_tag, "none", tol, max_panels)
+        return -_quad_segment(f, b, a, end_tag, "none", tol)
     span = b - a
     if start_tag == "inverse_sqrt":
         # t = u^2 removes a (z-a)^(-1/2) singularity and doubles smoothness
@@ -210,13 +212,13 @@ def _quad_segment(f, a, b, start_tag, end_tag, tol, max_panels):
             z = a + span * u * u
             return f(z) * 2.0 * u * span
 
-        return _adaptive_panels(g, 0.0, 1.0, [(0.0, 1.0)], tol, max_panels)
+        return _adaptive_panels(g, 0.0, 1.0, [(0.0, 1.0)], tol)
     if start_tag == "log":
-        return _adaptive_panels(f, a, b, _log_seeds(a, span), tol, max_panels)
-    return _adaptive_panels(f, a, b, [(0.0, 1.0)], tol, max_panels)
+        return _adaptive_panels(f, a, b, _log_seeds(a, span), tol)
+    return _adaptive_panels(f, a, b, [(0.0, 1.0)], tol)
 
 
-def quad_path(f, path, tol=1e-10, max_panels=20000):
+def quad_path(f, path, tol=1e-10):
     """Adaptive Gauss-Legendre integral of ``f`` along a ComplexPath.
 
     Endpoint singularities declared on the path are removed by substitution
@@ -233,7 +235,7 @@ def quad_path(f, path, tol=1e-10, max_panels=20000):
     for i in range(nseg):
         s = start_tag if i == 0 else "none"
         e = end_tag if i == nseg - 1 else "none"
-        total += _quad_segment(f, verts[i], verts[i + 1], s, e, tol_seg, max_panels)
+        total += _quad_segment(f, verts[i], verts[i + 1], s, e, tol_seg)
     return total
 
 

@@ -17,11 +17,12 @@ import enum
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.polynomial import Chebyshev, polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .background import f_branch, stationary_points, theta_phase, w_branch
-from .numerics import (ComplexPath, QuadratureError, barycentric,
-                       cauchy_segment, gamma_complex, json_value, quad_path)
+from .numerics import (ComplexPath, QuadratureError, cauchy_segment,
+                       gamma_complex, json_value, quad_path)
 
 __all__ = [
     "PlaneWaveData",
@@ -49,9 +50,9 @@ _NEAR_HALF_WIDTHS = 16
 _GL4_X, _GL4_W = leggauss(4)
 #: floats in each of the two point-by-node temporaries of log_delta (512 KiB)
 _CHUNK_ELEMENTS = 2**16
-#: absolute quadrature target of the F integrals over B
+#: absolute quadrature target of F_inf_split's integrals
 _F_TOL = 1e-10
-#: Chebyshev nodes of the log delta interpolant on B
+#: Chebyshev nodes of the log delta series on B
 _B_NODES = 96
 
 
@@ -218,41 +219,30 @@ def local_exponents(k1, spectral):
     return nu, chi, Delta
 
 
-def _b_nodes(A, n):
-    """n Chebyshev nodes y of B, k = i*y, shrunk by 1e-9 off the ends."""
-    j = np.arange(n)
-    return A * (1.0 - 1e-9) * np.cos(np.pi * (2 * j + 1) / (2 * n))
-
-
 def _lndelta_on_B(k1, spectral):
-    """Barycentric interpolant of log delta(i y, k1) at Chebyshev nodes."""
-    y = _b_nodes(spectral.A, _B_NODES)
-    return barycentric(y, log_delta(1j * y, k1, spectral))
+    """Chebyshev series in y of log delta(i y, k1) on B, k = i y."""
+    A = spectral.A
+    return Chebyshev.interpolate(lambda y: log_delta(1j * y, k1, spectral),
+                                 _B_NODES - 1, domain=[-A, A])
 
 
-def F_fn(k, k1, spectral, _interp=None):
+def _exp_series(c, k, A):
+    """exp(sum c_n rho^n), rho = i (f(k) - k)/A = i A/(f(k) + k)."""
+    return np.exp(polynomial.polyval(1j * A / (f_branch(complex(k), A) + k), c))
+
+
+def F_fn(k, k1, spectral):
     """The cut factorization function F(k, k1), bounded at +-iA and infinity.
 
-    F_+ F_- = delta^2 on the cut; F -> exp(i F_inf) at infinity."""
-    A = spectral.A
-    interp = _interp if _interp is not None else _lndelta_on_B(k1, spectral)
-
-    def g(z):
-        return interp(np.imag(z)) / f_branch(z, A)
-
-    I = cauchy_segment(g, -1j * A, 1j * A, complex(k), tol=_F_TOL,
-                       endpoint_singularity=("inverse_sqrt", "inverse_sqrt"))
-    return np.exp(-f_branch(complex(k), A) / (1j * np.pi) * I)
+    F_+ F_- = delta^2 on the cut; F -> exp(i F_inf) at infinity.  With
+    log delta(i A s) = sum c_n T_n(s) on B, F = exp(sum c_n rho^n) in closed
+    form; rho maps the plane minus B onto the unit disk, minus side on B."""
+    return _exp_series(_lndelta_on_B(k1, spectral).coef, k, spectral.A)
 
 
-def F_inf(k1, spectral, _interp=None):
-    """F_inf(k1) = -(1/pi) int_B log delta(z, k1)/f(z) dz."""
-    A = spectral.A
-    interp = _interp if _interp is not None else _lndelta_on_B(k1, spectral)
-    path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
-    val = quad_path(lambda z: interp(np.imag(z)) / f_branch(z, A), path,
-                    tol=_F_TOL)
-    return -val / np.pi
+def F_inf(k1, spectral):
+    """F_inf(k1) = -(1/pi) int_B log delta(z, k1)/f(z) dz = -i c_0."""
+    return -1j * _lndelta_on_B(k1, spectral).coef[0]
 
 
 def F_inf_split(k1, spectral, n=_B_NODES):
@@ -263,16 +253,13 @@ def F_inf_split(k1, spectral, n=_B_NODES):
     quadrature noise."""
     A = spectral.A
     k_lo = -spectral.k_tail
-    y = _b_nodes(A, n)
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
     halves = []
     for part in (np.real, np.imag):
-        # inner integrals over s with kernel 1/(s - zeta), zeta = i y
-        H = np.array(
-            [cauchy_segment(lambda z: part(spectral.log_rr(np.real(z))) + 0j,
-                            k_lo, float(k1), 1j * yy, tol=_F_TOL) for yy in y]
-        )
-        ip = barycentric(y, H)
+        # inner integrals over s with kernel 1/(s - i y), at n Chebyshev y
+        ip = Chebyshev.interpolate(lambda y: np.array([cauchy_segment(
+            lambda z: part(spectral.log_rr(np.real(z))) + 0j, k_lo, float(k1),
+            1j * yy, tol=_F_TOL) for yy in y]), n - 1, domain=[-A, A])
         outer = quad_path(lambda z: ip(np.imag(z)) / f_branch(z, A), path,
                           tol=_F_TOL)
         halves.append(-outer / (2j * np.pi**2))
@@ -290,9 +277,9 @@ def planewave_params(xi, spectral):
         raise ValueError("plane-wave rays require xi > sqrt(2) A")
     k1 = float(stationary_points(xi, A)[0].real)
     nu, chi, Delta = local_exponents(k1, spectral)
-    interp = _lndelta_on_B(k1, spectral)
-    Finf = F_inf(k1, spectral, _interp=interp)
-    Fk1 = F_fn(k1, k1, spectral, _interp=interp)
+    c = _lndelta_on_B(k1, spectral).coef
+    Finf = -1j * c[0]
+    Fk1 = _exp_series(c, k1, A)
     fk1 = complex(f_branch(k1, A)).real
     wk1 = complex(w_branch(k1, A))
     theta1 = complex(theta_phase(k1, xi, A)).real

@@ -425,6 +425,8 @@ def reflection(profile, k):
 
 #: the line table's tail starts where |r1*r2| falls below this
 _TAIL_TARGET = 1e-12
+#: right end of the line table and of elliptic winding checks, in units of A
+_LINE_END = -1e-4
 
 
 class SpectralTable:
@@ -469,7 +471,7 @@ class SpectralTable:
     def _build_line(self):
         """The negative-axis table behind ``_line``."""
         k_tail = self._find_tail()
-        k_hi = -1e-4 * self.A
+        k_hi = _LINE_END * self.A
         k_mid = -min(max(10.0 * self.A, 10.0), 0.8 * k_tail)
         dense = np.linspace(k_mid, k_hi, 2400)
         n_geo = max(8, int(24 * np.log2(k_tail / -k_mid)))
@@ -585,7 +587,7 @@ def winding_k_stop(ray, A):
     """Right end of the stretch of the negative axis over which a ray's
     asymptotics read the argument of 1 + r1*r2: up to the stationary point
     k1 < -A/sqrt(2) in the plane-wave region, up to the cut otherwise."""
-    return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else -1e-4 * A
+    return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else _LINE_END * A
 
 
 def validate_assumptions(spectral, rays):

@@ -128,7 +128,7 @@ def nonlinear_substep(p, dt, A, mirror=None):
 
 
 def simulate(profile, grid, snapshot_dt=None):
-    """Strang-split evolution of the profile; returns q snapshots."""
+    """Strang-split evolution, steps of at most grid.dt; returns q snapshots."""
     A = profile.A
     if grid.L_box < 2.0 * profile.support_L:
         raise ValueError("box must cover twice the profile support")
@@ -137,7 +137,7 @@ def simulate(profile, grid, snapshot_dt=None):
     t_end = min(grid.t_max, t_cap)
     if snapshot_dt is None:
         snapshot_dt = max(t_end / 400.0, grid.dt)
-    nsub = max(1, int(round(snapshot_dt / grid.dt)))
+    nsub = max(1, int(np.ceil(snapshot_dt / (grid.dt * (1.0 + 1e-12)))))
     dt = snapshot_dt / nsub
     nsnap = int(round(t_end / snapshot_dt))
 

@@ -108,6 +108,20 @@ class TestBuildSurface:
         v2 = _cycle_rectangle(f, A, 1e-5)
         assert abs(v1 - v2) < 1e-8
 
+    @pytest.mark.parametrize("A_", [0.3, 1.0, 2.0])
+    def test_band_period_from_b_period(self, A_):
+        # dk/gamma ~ dk/k^2 at infinity, so its cycles around the bands and
+        # around B sum to zero: the band integral is -1/(2 C_norm)
+        from nnlslab.numerics import quad_path
+
+        for frac in (0.05, 0.4, 0.95):
+            surf = build_surface(frac * np.sqrt(2.0) * A_, A_)
+            inv = lambda z: 1.0 / gamma_rs(z, A_, surf.alpha)
+            D = (quad_path(lambda z: -inv(z), surf.band_upper, tol=1e-9)
+                 + quad_path(inv, surf.band_lower, tol=1e-9))
+            ref = -1.0 / (2.0 * surf.C_norm)
+            assert abs(D - ref) < 1e-12 * abs(ref)
+
     def test_alpha_polynomial_identity(self, rng):
         # (k-alpha)(k-conj alpha) == (k+k0+xi)^2 + 2k0^2 + 2 xi k0 + A^2
         k0 = -0.19

@@ -52,6 +52,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="positive"):
             RunConfig.from_json(json.dumps(bad))
 
+    def test_profile_A_must_match(self):
+        bad = dict(CFG, profile=dict(CFG["profile"], A=0.6))
+        with pytest.raises(ValueError, match="0.6.*0.5"):
+            RunConfig.from_json(json.dumps(bad))
+
     def test_ignored_schema1_keys(self):
         # older schema-1 files carry keys that no longer set anything
         cfg = RunConfig.from_json(json.dumps(

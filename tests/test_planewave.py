@@ -125,6 +125,23 @@ class TestFMachinery:
             d2 = delta_fn(1j * y, K1, verif_table) ** 2
             assert abs(prod - d2) < 1e-7
 
+    @pytest.mark.parametrize("k1", [K1, -0.5], ids=["K1", "minus_half"])
+    def test_jump_product_next_to_cut(self, verif_table, k1):
+        # Richardson in the offset 1e-7: the closed form of F holds to
+        # rounding next to the cut
+        eps = 1e-7
+        for y in (0.31, -0.22, 0.05, 0.4, -0.38):
+            F = lambda x: F_fn(1j * y + x, k1, verif_table)
+            prod = 2 * F(eps / 2) * F(-eps / 2) - F(eps) * F(-eps)
+            d2 = delta_fn(1j * y, k1, verif_table) ** 2
+            assert abs(prod - d2) < 1e-12
+
+    def test_on_cut_value_is_minus_side(self, verif_table):
+        for y in (0.31, -0.22, 0.05):
+            on = F_fn(1j * y, K1, verif_table)
+            right = F_fn(1j * y + 1e-12, K1, verif_table)
+            assert abs(on - right) < 1e-12
+
     def test_bounded_at_endpoints(self, verif_table):
         ds = np.geomspace(1e-6, 1e-2, 10)
         vals = np.array([F_fn(1j * (A + d), K1, verif_table) for d in ds])

@@ -66,6 +66,22 @@ class TestSimulate:
         exact = nonlinear_substep(p0, dt, A)
         assert np.abs(p - exact).max() < 1e-11
 
+    def test_steps_never_exceed_grid_dt(self, verif_profile, monkeypatch):
+        # the default cadence is 6.25 grid steps per snapshot here: rounding
+        # to 6 substeps would step at 0.002083 > dt
+        import nnlslab.simulator as sim
+
+        steps = []
+
+        def recorder(p, dt, A, mirror=None):
+            steps.append(dt)
+            return nonlinear_substep(p, dt, A, mirror)
+
+        monkeypatch.setattr(sim, "nonlinear_substep", recorder)
+        grid = SimGrid(L_box=20.0, N=512, dt=0.002, t_max=5.0)
+        simulate(verif_profile, grid)
+        assert steps and max(steps) <= grid.dt
+
     def test_strang_order(self, verif_profile):
         def final(dt):
             g = SimGrid(L_box=32.0, N=1024, dt=dt, t_max=1.0)

@@ -6,18 +6,19 @@ Run from inside the git checkout.  Both revisions are exported with
 ``git archive`` into a temporary directory, so each side runs from its
 committed files only.  ``perfbench/run.py`` then runs on the two trees in
 alternating pairs (the side that goes first alternates too): ten pairs on
-``compare_readme`` (seed 2) and on ``ray_sweep`` (seed 0, the seed whose
-ray constants ``reference.json`` holds), three on ``simulate_export``, each
-run as long as ``run_seconds`` in BENCHMARK.json.  One traced run per side
-of ``compare_readme`` and of ``ray_sweep`` adds the per-layer times and
-k-point counts, and a separate fresh process per side counts the work of
-three stages on the README config: the line table, ``validate_assumptions``
-and one ``elliptic_data`` at ``xi = 0.35``.  Jost work is counted as Magnus
-cell steps times k-points; the elliptic ray also counts the integrand calls
-of the adaptive quadrature and the points they get.
+each workload, ``compare_readme`` (seed 2), ``ray_sweep`` (seed 0, the seed
+whose ray constants ``reference.json`` holds) and ``simulate_export``
+(seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
+traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
+per-layer times and k-point counts, and a separate fresh process per side
+counts the work of three stages on the README config: the line table,
+``validate_assumptions`` and one ``elliptic_data`` at ``xi = 0.35``.  Jost
+work is counted as Magnus cell steps times k-points; the elliptic ray also
+counts the integrand calls of the adaptive quadrature and the points they
+get.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
-about 45 minutes.  Temporary trees go to ``TMPDIR``.
+about an hour.  Temporary trees go to ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import tempfile
 
 import numpy as np
 
-PAIRS = {"compare_readme": 10, "ray_sweep": 10, "simulate_export": 3}
+#: pairs of runs per workload
+PAIRS = 10
 SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
 TRACED = ("compare_readme", "ray_sweep")
 
@@ -154,19 +156,19 @@ def main(argv):
         trees = {side: os.path.join(tmp, side) for side in revs}
         for side, rev in revs.items():
             export(rev, trees[side])
-        for workload, n in PAIRS.items():
+        for workload, seed in SEEDS.items():
             pairs = []
-            for i in range(n):
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {side: run_perfbench(trees[side], workload,
-                                            SEEDS[workload], seconds, 0)
+                pair = {side: run_perfbench(trees[side], workload, seed,
+                                            seconds, 0)
                         for side in order}
                 pairs.append(pair)
-                print(f"{workload} pair {i + 1}/{n}: wall_s "
+                print(f"{workload} pair {i + 1}/{PAIRS}: wall_s "
                       f"{pair['base']['metrics']['wall_s']:.2f} -> "
                       f"{pair['head']['metrics']['wall_s']:.2f}", flush=True)
             result["workloads"][workload] = {
-                "seed": SEEDS[workload], "pairs": pairs,
+                "seed": seed, "pairs": pairs,
                 "summary": summary(pairs, better)}
         for side in revs:
             result["traced"][side] = {
