@@ -32,7 +32,8 @@ from .harness import RunConfig, emit_report, run
 from .numerics import json_value
 from .planewave import planewave_params
 from .scattering import SpectralTable, validate_assumptions
-from .simulator import simulate, trajectory_to_csv, write_snapshots
+from .simulator import (BlowUpError, simulate, trajectory_to_csv,
+                        write_snapshots)
 
 
 def _load_config(path):
@@ -132,7 +133,10 @@ def main(argv=None):
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
-    return args.handler(_load_config(args.config), args)
+    try:
+        return args.handler(_load_config(args.config), args)
+    except BlowUpError as exc:
+        sys.exit(f"nnlslab {args.command}: error: {exc}")
 
 
 if __name__ == "__main__":

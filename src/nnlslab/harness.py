@@ -184,11 +184,9 @@ def run(config):
             if not rep.winding_ok:
                 raise RuntimeError("winding assumption violated")
 
-            samples = sample_ray(traj, abs(xi))
-            s_ts = np.array([s[0] for s in samples])
+            samples = sample_ray(traj, abs(xi), config.t_list)
             result.constants, q_asym = _ray_asymptotics(ray, A, spectral)
-            for t in config.t_list:
-                _, sim_p, sim_m = samples[int(np.argmin(np.abs(s_ts - t)))]
+            for t, (_, sim_p, sim_m) in zip(config.t_list, samples):
                 q_p, q_m = q_asym(t)
                 result.rows += [(t, abs(sim_p), abs(q_p)),
                                 (t, abs(sim_m), abs(q_m))]

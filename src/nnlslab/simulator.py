@@ -5,8 +5,11 @@ Works in the gauge p(x, t) = q(x, t) exp(-2i A^2 t), which freezes the
 background to the constant A.  One Strang step is a half linear substep
 (exact in Fourier space), a full nonlinear substep (exact pointwise because
 m(x) = p(x) * conj(p(-x)) is conserved by the nonlinear subflow), and
-another half linear substep.  The grid is symmetric about x = 0 so the
-mirror conj(p(-x)) is an exact index reversal.
+another half linear substep.  Inside a snapshot interval the closing
+half-step of one Strang step and the opening half-step of the next fuse
+into one full linear step, so an interval of nsub steps costs nsub + 1
+FFT pairs.  The grid is symmetric about x = 0 so the mirror conj(p(-x)) is
+an exact index reversal.
 
 Round-off seeds grow at the linear modulation-instability rate exp(2 A^2 t);
 runs are capped so the amplified noise floor stays below 1e-8.
@@ -128,7 +131,9 @@ def nonlinear_substep(p, dt, A, mirror=None):
 
 
 def simulate(profile, grid, snapshot_dt=None):
-    """Strang-split evolution, steps of at most grid.dt; returns q snapshots."""
+    """Strang-split evolution, steps of at most grid.dt; returns q snapshots.
+
+    Raises BlowUpError once a snapshot is non-finite or exceeds the guard."""
     A = profile.A
     if grid.L_box < 2.0 * profile.support_L:
         raise ValueError("box must cover twice the profile support")
@@ -145,23 +150,34 @@ def simulate(profile, grid, snapshot_dt=None):
     mirror = _mirror_index(grid.N)
     kappa = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
     half = np.exp(-1j * kappa * kappa * (dt / 2.0))
+    full = np.exp(-1j * kappa * kappa * dt)
 
-    p = profile.q0(x).astype(complex)
-    ts = [0.0]
-    fields = [p.copy()]
-    t = 0.0
-    for _ in range(nsnap):
-        for _ in range(nsub):
-            p = np.fft.ifft(half * np.fft.fft(p))
-            p = nonlinear_substep(p, dt, A, mirror)
-            p = np.fft.ifft(half * np.fft.fft(p))
-        t += snapshot_dt
-        if np.max(np.abs(p)) > _BLOWUP_FACTOR * A:
-            raise BlowUpError(f"field exceeded {_BLOWUP_FACTOR:.0e} * A at t={t:.3f}")
-        ts.append(t)
-        fields.append(p.copy())
-    ts = np.array(ts)
-    fields = np.array(fields)
+    ts = np.empty(nsnap + 1)
+    fields = np.empty((nsnap + 1, grid.N), dtype=complex)
+    fields[0] = profile.q0(x)
+    ts[0] = t = 0.0
+    # ph is the spectrum after the last linear step: each interval opens
+    # with a half-step, fuses the steps between nonlinear substeps into
+    # full steps and closes with a half-step before the snapshot
+    ph = np.fft.fft(fields[0])
+    # a field that overflows inside an interval is caught by the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nsnap + 1):
+            ph *= half
+            for j in range(nsub):
+                if j:
+                    ph *= full
+                p = nonlinear_substep(np.fft.ifft(ph), dt, A, mirror)
+                ph = np.fft.fft(p)
+            ph *= half
+            p = np.fft.ifft(ph)
+            t += snapshot_dt
+            # written so that NaN fails the guard too
+            if not np.max(np.abs(p)) <= _BLOWUP_FACTOR * A:
+                raise BlowUpError(f"field non-finite or above {_BLOWUP_FACTOR:.0e}"
+                                  f" * A at t={t:.3f}")
+            ts[n] = t
+            fields[n] = p
     # restore the gauge q = p * exp(2i A^2 t)
     fields *= np.exp(2j * A * A * ts)[:, None]
     noise = float(np.finfo(float).eps * np.exp(2.0 * A * A * t_end))
@@ -179,15 +195,20 @@ def _bandlimited_eval(field, L_box, xs):
     return phases @ coef
 
 
-def sample_ray(traj, xi):
-    """[(t, q(4 xi t, t), q(-4 xi t, t)) ...] by band-limited interpolation."""
+def sample_ray(traj, xi, times=None):
+    """[(t, q(4 xi t, t), q(-4 xi t, t)) ...] by band-limited interpolation,
+    on every snapshot, or on the snapshot nearest each of ``times``."""
+    idx = range(len(traj.ts)) if times is None else [
+        int(np.argmin(np.abs(traj.ts - t))) for t in times]
     out = []
     margin = 2.0 * traj.L_box / traj.fields.shape[1]
-    for t, field in zip(traj.ts, traj.fields):
+    for i in idx:
+        t = traj.ts[i]
         xr = 4.0 * xi * t
         if abs(xr) > traj.L_box - margin:
             raise ValueError(f"ray exits the box at t={t:g} (x={xr:g})")
-        qp, qm = _bandlimited_eval(field, traj.L_box, np.array([xr, -xr]))
+        qp, qm = _bandlimited_eval(traj.fields[i], traj.L_box,
+                                   np.array([xr, -xr]))
         out.append((float(t), complex(qp), complex(qm)))
     return out
 
@@ -222,13 +243,19 @@ def reference_ifrk4(profile, grid, t_end, dt):
 
 
 def trajectory_to_csv(traj, path):
-    """CSV export with header t,x,re_q,im_q,abs_q."""
+    """CSV export with header t,x,re_q,im_q,abs_q, each float as %.12e.
+
+    One snapshot is formatted per % call: the x column is formatted once,
+    t once per snapshot, and abs_q is np.hypot(re, im), which rounds like
+    Python's abs(complex) where np.abs can differ in the last digit."""
+    # "\0" stands for the snapshot's t, which contains no "\0" and no "%"
+    rows = "".join(f"\0,{xx:.12e},%.12e,%.12e,%.12e\n" for xx in traj.x)
     with open(path, "w") as fh:
         fh.write("t,x,re_q,im_q,abs_q\n")
         for t, field in zip(traj.ts, traj.fields):
-            for xx, qq in zip(traj.x, field):
-                fh.write(f"{t:.12e},{xx:.12e},{qq.real:.12e},{qq.imag:.12e},"
-                         f"{abs(qq):.12e}\n")
+            re, im = field.real, field.imag
+            vals = np.stack((re, im, np.hypot(re, im)), axis=1).ravel()
+            fh.write(rows.replace("\0", f"{t:.12e}") % tuple(vals.tolist()))
 
 
 def write_snapshots(traj, path):

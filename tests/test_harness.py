@@ -226,3 +226,21 @@ class TestCli:
         msg = exc.value.code
         assert isinstance(msg, str) and "\n" not in msg
         assert f"ray {xi} is in the {region} region" in msg
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_blow_up_is_an_error(self, tmp_path, command):
+        # this bump overflows at t = 7.6-7.85 (x = 6-7), before t_list ends
+        from nnlslab.cli import main
+
+        cfg = dict(CFG, rays=[0.35], profile=dict(CFG["profile"], chirp=0.0,
+                                                  center=2.0),
+                   grid={"L_box": 32.0, "N": 512, "dt": 0.004, "t_max": 8.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith(f"nnlslab {command}: error: field non-finite")
+        assert not out.exists()

@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nnlslab.scattering import InitialProfile
-from nnlslab.simulator import (SimGrid, mi_time_cap, nonlinear_substep,
-                               read_snapshots, reference_ifrk4, sample_ray,
-                               simulate, trajectory_to_csv, write_snapshots)
+from nnlslab.simulator import (BlowUpError, FieldTrajectory, SimGrid,
+                               mi_time_cap, nonlinear_substep, read_snapshots,
+                               reference_ifrk4, sample_ray, simulate,
+                               trajectory_to_csv, write_snapshots)
+
+#: A = 0.5 bump that overflows near x = 6-7 at t = 7.6-7.85 on any grid
+BLOWUP = dict(A=0.5, amplitude=-0.2, width=1.0, chirp=0.0, center=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,39 @@ class TestSimulate:
         traj = simulate(verif_profile, grid, snapshot_dt=1.0)
         assert np.abs(traj.fields[-1] - q_ref).max() < 1e-6
 
+    def test_fused_matches_unfused_steps(self, verif_profile):
+        # two FFT pairs per Strang step, half-steps not fused
+        grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=1.0)
+        traj = simulate(verif_profile, grid, snapshot_dt=0.25)
+        nsub, dt, A = 125, 0.002, verif_profile.A
+        kappa = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
+        half = np.exp(-1j * kappa * kappa * (dt / 2.0))
+        p = verif_profile.q0(grid.x).astype(complex)
+        for t, field in zip(traj.ts[1:], traj.fields[1:]):
+            for _ in range(nsub):
+                p = np.fft.ifft(half * np.fft.fft(p))
+                p = nonlinear_substep(p, dt, A)
+                p = np.fft.ifft(half * np.fft.fft(p))
+            assert np.abs(field - p * np.exp(2j * A * A * t)).max() < 1e-12
+
+    def test_fft_count_per_snapshot(self, verif_profile, monkeypatch):
+        counts = {"fft": 0, "ifft": 0}
+        for name in counts:
+            def counting(a, *args, _f=getattr(np.fft, name), _n=name, **kw):
+                counts[_n] += 1
+                return _f(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, counting)
+        grid = SimGrid(L_box=20.0, N=512, dt=0.002, t_max=0.5)
+        traj = simulate(verif_profile, grid, snapshot_dt=0.05)
+        nsnap, nsub = len(traj.ts) - 1, 25
+        assert counts == {"fft": nsnap * nsub + 1, "ifft": nsnap * (nsub + 1)}
+
+    def test_non_finite_field_raises(self):
+        prof = InitialProfile.gaussian_bump(**BLOWUP)
+        grid = SimGrid(L_box=32.0, N=512, dt=0.004, t_max=8.0)
+        with pytest.raises(BlowUpError, match="non-finite"):
+            simulate(prof, grid, snapshot_dt=0.05)
+
     def test_noise_guard_caps_time(self, verif_profile):
         cap = mi_time_cap(verif_profile.A)
         grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=2 * cap)
@@ -139,6 +178,17 @@ class TestSampleRay:
         with pytest.raises(ValueError):
             sample_ray(small_traj, 10.0)
 
+    def test_times_pick_nearest_snapshots(self, small_traj):
+        rows = sample_ray(small_traj, 0.4)
+        picked = sample_ray(small_traj, 0.4, [1.1, 0.3, 2.0])
+        assert picked == [rows[4], rows[1], rows[8]]
+
+    def test_times_check_box_exit(self, small_traj):
+        # 4 * 4.5 * 2 = 36 is past the box edge at 32, 4 * 4.5 * 1 = 18 is not
+        sample_ray(small_traj, 4.5, [1.0])
+        with pytest.raises(ValueError, match="exits the box"):
+            sample_ray(small_traj, 4.5, [1.0, 2.0])
+
 
 class TestExports:
     def test_csv_header_and_rows(self, small_traj, tmp_path):
@@ -147,6 +197,46 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,re_q,im_q,abs_q"
         assert len(lines) == 1 + len(small_traj.ts) * small_traj.fields.shape[1]
+
+    @staticmethod
+    def _row_csv(traj, path):
+        # one f-string per row: the reference for the formatting
+        with open(path, "w") as fh:
+            fh.write("t,x,re_q,im_q,abs_q\n")
+            for t, field in zip(traj.ts, traj.fields):
+                for xx, qq in zip(traj.x, field):
+                    fh.write(f"{t:.12e},{xx:.12e},{qq.real:.12e},"
+                             f"{qq.imag:.12e},{abs(qq):.12e}\n")
+
+    def _assert_same_bytes(self, traj, tmp_path):
+        digests = []
+        for name, writer in (("rows.csv", self._row_csv),
+                             ("traj.csv", trajectory_to_csv)):
+            writer(traj, tmp_path / name)
+            digests.append(hashlib.sha256((tmp_path / name).read_bytes())
+                           .hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_csv_matches_row_writer(self, small_traj, tmp_path):
+        self._assert_same_bytes(small_traj, tmp_path)
+
+    def test_csv_matches_row_writer_on_edge_values(self, tmp_path):
+        h = float.fromhex
+        # signed zeros, extreme exponents, and three README field values
+        # where np.abs rounds |q| to a different 12-digit string
+        field = np.array([
+            complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.5e300, 2e-310),
+            complex(h("0x1.e921dd42f0a3fp-2"), h("0x1.2e9cd95baceafp-3")),
+            complex(h("0x1.6e0cac453b362p-2"), h("0x1.fe27a6896ea8dp-4")),
+            complex(h("0x1.769fec654b861p-2"), h("0x1.5cffc16bf4081p-2")),
+        ])
+        assert np.sum(np.abs(field) != [abs(z) for z in field]) >= 3
+        traj = FieldTrajectory(
+            ts=np.array([0.0, 1e-300, 7.8]), fields=np.array([field, -field,
+                                                              field * 1j]),
+            x=np.array([-0.0, -3.0, 1e-7, 2.5, 1e5, 123.456]), A=0.5,
+            L_box=3.0, noise_floor_estimate=0.0)
+        self._assert_same_bytes(traj, tmp_path)
 
     def test_binary_round_trip(self, small_traj, tmp_path):
         path = tmp_path / "snaps.bin"

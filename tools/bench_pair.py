@@ -11,11 +11,12 @@ whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
 traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
 per-layer times and k-point counts, and a separate fresh process per side
-counts the work of three stages on the README config: the line table,
-``validate_assumptions`` and one ``elliptic_data`` at ``xi = 0.35``.  Jost
-work is counted as Magnus cell steps times k-points; the elliptic ray also
-counts the integrand calls of the adaptive quadrature and the points they
-get.
+counts the work of five stages on the README config: the line table,
+``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35``,
+``simulate`` and ``trajectory_to_csv``.  Jost work is counted as Magnus
+cell steps times k-points; the elliptic ray also counts the integrand
+calls of the adaptive quadrature and the points they get, and ``simulate``
+counts its ``np.fft.fft`` and ``np.fft.ifft`` calls.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
@@ -37,9 +38,11 @@ PAIRS = 10
 SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
 TRACED = ("compare_readme", "ray_sweep")
 
-#: counts Jost and quadrature work in a fresh process; argv[1] is a source tree
+#: counts Jost, quadrature and simulator work in a fresh process; argv[1] is
+#: a source tree
 WORK_COUNTS = r"""
-import json, sys, time
+import json, os, sys, tempfile, time
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 import nnlslab.ellipticwave as ew
 import nnlslab.numerics as nm
@@ -85,6 +88,32 @@ for stage, work in (
     out[stage] = {"s": time.perf_counter() - t0, "magnus_cell_kpoints": calls[0]}
     if stage == "elliptic_ray":
         out[stage].update(integrand)
+
+# the split-step run of `nnlslab simulate`, counted by wrapping np.fft
+import nnlslab.simulator as sim
+ffts = {"fft": 0, "ifft": 0}
+plain = {name: getattr(np.fft, name) for name in ffts}
+
+def counting_fft(name):
+    def counted(*args, **kwargs):
+        ffts[name] += 1
+        return plain[name](*args, **kwargs)
+    return counted
+
+for name in ffts:
+    setattr(np.fft, name, counting_fft(name))
+t0 = time.perf_counter()
+traj = sim.simulate(cfg.profile, cfg.sim_grid(max(cfg.t_list)))
+out["simulate"] = {"s": time.perf_counter() - t0, "fft_calls": ffts["fft"],
+                   "ifft_calls": ffts["ifft"], "snapshots": len(traj.ts)}
+for name in ffts:
+    setattr(np.fft, name, plain[name])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trajectory.csv")
+    t0 = time.perf_counter()
+    sim.trajectory_to_csv(traj, path)
+    out["trajectory_csv"] = {"s": time.perf_counter() - t0,
+                             "mib": os.path.getsize(path) / 2**20}
 print(json.dumps(out))
 """
 
