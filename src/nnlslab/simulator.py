@@ -18,9 +18,11 @@ runs are capped so the amplified noise floor stays below 1e-8.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "SimGrid",
@@ -40,6 +42,10 @@ __all__ = [
 _NOISE_BUDGET = 1e-8
 #: a run stops with BlowUpError once max |q| exceeds this many times A
 _BLOWUP_FACTOR = 1e6
+#: sample_ray transforms at most this many snapshots at once
+_SAMPLE_BLOCK = 8
+#: sample_ray splits a spectrum into rows of (at most) this many modes
+_SAMPLE_COLS = 64
 
 
 class BlowUpError(RuntimeError):
@@ -123,11 +129,17 @@ def nonlinear_substep(p, dt, A, mirror=None):
     """Exact solution of the nonlinear subflow over dt.
 
     m(x) = p(x) * conj(p(-x)) is invariant, so the substep is the pointwise
-    rotation p <- p * exp(2i dt (m - A^2))."""
+    rotation p <- p * exp(2i dt (m - A^2)), computed in one buffer with the
+    operands in this order (swapping them changes the rounding)."""
     if mirror is None:
         mirror = _mirror_index(p.size)
-    m = p * np.conj(p[mirror])
-    return p * np.exp(2j * dt * (m - A * A))
+    w = p[mirror]
+    np.conj(w, out=w)
+    np.multiply(p, w, out=w)
+    np.subtract(w, A * A, out=w)
+    np.multiply(2j * dt, w, out=w)
+    np.exp(w, out=w)
+    return np.multiply(p, w, out=w)
 
 
 def simulate(profile, grid, snapshot_dt=None):
@@ -159,7 +171,7 @@ def simulate(profile, grid, snapshot_dt=None):
     # ph is the spectrum after the last linear step: each interval opens
     # with a half-step, fuses the steps between nonlinear substeps into
     # full steps and closes with a half-step before the snapshot
-    ph = np.fft.fft(fields[0])
+    ph = scipy.fft.fft(fields[0])
     # a field that overflows inside an interval is caught by the guard
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nsnap + 1):
@@ -167,10 +179,10 @@ def simulate(profile, grid, snapshot_dt=None):
             for j in range(nsub):
                 if j:
                     ph *= full
-                p = nonlinear_substep(np.fft.ifft(ph), dt, A, mirror)
-                ph = np.fft.fft(p)
+                p = nonlinear_substep(scipy.fft.ifft(ph), dt, A, mirror)
+                ph = scipy.fft.fft(p, overwrite_x=True)
             ph *= half
-            p = np.fft.ifft(ph)
+            p = scipy.fft.ifft(ph)
             t += snapshot_dt
             # written so that NaN fails the guard too
             if not np.max(np.abs(p)) <= _BLOWUP_FACTOR * A:
@@ -185,32 +197,59 @@ def simulate(profile, grid, snapshot_dt=None):
                            noise_floor_estimate=noise, capped=capped)
 
 
-def _bandlimited_eval(field, L_box, xs):
-    """Trigonometric interpolation of one periodic snapshot at points xs."""
-    N = field.size
-    coef = np.fft.fft(field) / N
-    kappa = 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L_box / N)
-    xs = np.atleast_1d(xs)
-    phases = np.exp(1j * np.outer(xs + L_box, kappa))
-    return phases @ coef
+def _nearest_snapshots(ts, times):
+    """Index of the snapshot nearest each time; a time more than half a
+    snapshot interval outside the trajectory raises ValueError."""
+    lo = ts[0] - (ts[1] - ts[0]) / 2.0
+    hi = ts[-1] + (ts[-1] - ts[-2]) / 2.0
+    idx = []
+    for t in times:
+        if not lo <= t <= hi:
+            raise ValueError(f"time {t:g} is outside the trajectory, whose "
+                             f"last snapshot is at t={ts[-1]:g}")
+        idx.append(int(np.argmin(np.abs(ts - t))))
+    return np.array(idx, dtype=int)
 
 
 def sample_ray(traj, xi, times=None):
     """[(t, q(4 xi t, t), q(-4 xi t, t)) ...] by band-limited interpolation,
-    on every snapshot, or on the snapshot nearest each of ``times``."""
-    idx = range(len(traj.ts)) if times is None else [
-        int(np.argmin(np.abs(traj.ts - t))) for t in times]
-    out = []
-    margin = 2.0 * traj.L_box / traj.fields.shape[1]
-    for i in idx:
-        t = traj.ts[i]
-        xr = 4.0 * xi * t
-        if abs(xr) > traj.L_box - margin:
-            raise ValueError(f"ray exits the box at t={t:g} (x={xr:g})")
-        qp, qm = _bandlimited_eval(traj.fields[i], traj.L_box,
-                                   np.array([xr, -xr]))
-        out.append((float(t), complex(qp), complex(qm)))
-    return out
+    on every snapshot, or on the snapshot nearest each of ``times``.
+
+    The interpolant sum_m c_m exp(i m theta), theta = pi (x + L) / L, over
+    the modes -N/2 <= m < N/2 is evaluated with the shifted spectrum as a
+    (rows, cols) matrix C: with m = cols a + b - N/2 it is hi . (C @ lo),
+    lo_b = exp(i theta b) and hi_a = exp(i theta (cols a - N/2)), so a point
+    costs rows + cols exponentials instead of N.  Snapshots are transformed
+    in blocks of _SAMPLE_BLOCK, and a sample does not depend on which other
+    snapshots share its block."""
+    ts = traj.ts
+    idx = (np.arange(len(ts)) if times is None
+           else _nearest_snapshots(ts, times))
+    N = traj.fields.shape[1]
+    L = traj.L_box
+    xr = 4.0 * xi * ts[idx]
+    for t, x in zip(ts[idx], xr):
+        if abs(x) > L - 2.0 * L / N:
+            raise ValueError(f"ray exits the box at t={t:g} (x={x:g})")
+    cols = math.gcd(N, _SAMPLE_COLS)
+    rows = N // cols
+    theta = np.pi * (np.stack((xr, -xr), axis=1) + L) / L
+    lo_m = np.arange(cols, dtype=float)[:, None]
+    hi_m = (cols * np.arange(rows) - N // 2).astype(float)[:, None]
+    vals = np.empty((len(idx), 2), dtype=complex)
+    for s in range(0, len(idx), _SAMPLE_BLOCK):
+        blk = slice(s, s + _SAMPLE_BLOCK)
+        spec = scipy.fft.fft(traj.fields[idx[blk]], axis=1, overwrite_x=True)
+        C = scipy.fft.fftshift(spec, axes=1).reshape(-1, rows, cols)
+        th = theta[blk, None, :]
+        lo = np.exp(1j * (lo_m * th))
+        hi = np.exp(1j * (hi_m * th))
+        # the (2, 2) product's diagonal pairs each point's hi with its lo
+        vals[blk] = np.diagonal(np.swapaxes(hi, 1, 2) @ (C @ lo),
+                                axis1=1, axis2=2)
+    vals /= N
+    return [(float(t), complex(qp), complex(qm))
+            for t, (qp, qm) in zip(ts[idx], vals)]
 
 
 def reference_ifrk4(profile, grid, t_end, dt):
@@ -260,7 +299,8 @@ def trajectory_to_csv(traj, path):
 
 def write_snapshots(traj, path):
     """Binary snapshot export: per snapshot a JSON header line
-    {N, L_box, t, A} followed by little-endian float64 interleaved re/im."""
+    {N, L_box, t, A} followed by the field as little-endian complex128
+    (float64 re/im interleaved)."""
     N = traj.fields.shape[1]
     with open(path, "wb") as fh:
         for t, field in zip(traj.ts, traj.fields):
@@ -270,10 +310,7 @@ def write_snapshots(traj, path):
                 sort_keys=True,
             )
             fh.write(hdr.encode() + b"\n")
-            inter = np.empty(2 * N, dtype="<f8")
-            inter[0::2] = field.real
-            inter[1::2] = field.imag
-            fh.write(inter.tobytes())
+            fh.write(np.asarray(field, dtype="<c16").tobytes())
 
 
 def read_snapshots(path):
@@ -287,7 +324,9 @@ def read_snapshots(path):
                 break
             hdr = json.loads(line.decode())
             N = hdr["N"]
-            raw = np.frombuffer(fh.read(16 * N), dtype="<f8")
-            fields.append(raw[0::2] + 1j * raw[1::2])
+            raw = fh.read(16 * N)
+            if len(raw) != 16 * N:
+                raise ValueError(f"snapshot {len(fields)} is truncated")
+            fields.append(np.frombuffer(raw, dtype="<c16").astype(complex))
             headers.append(hdr)
     return headers, fields

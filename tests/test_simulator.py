@@ -1,8 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import nnlslab.simulator as sim
+from nnlslab.harness import RunConfig, run
 from nnlslab.scattering import InitialProfile
 from nnlslab.simulator import (BlowUpError, FieldTrajectory, SimGrid,
                                mi_time_cap, nonlinear_substep, read_snapshots,
@@ -11,6 +15,17 @@ from nnlslab.simulator import (BlowUpError, FieldTrajectory, SimGrid,
 
 #: A = 0.5 bump that overflows near x = 6-7 at t = 7.6-7.85 on any grid
 BLOWUP = dict(A=0.5, amplitude=-0.2, width=1.0, chirp=0.0, center=2.0)
+
+
+def _bandlimited_eval(field, L_box, xs):
+    """Trigonometric interpolation of one periodic snapshot at points xs:
+    the direct sum over all N modes, the oracle for sample_ray."""
+    N = field.size
+    coef = np.fft.fft(field) / N
+    kappa = 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L_box / N)
+    xs = np.atleast_1d(xs)
+    phases = np.exp(1j * np.outer(xs + L_box, kappa))
+    return phases @ coef
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +64,16 @@ class TestSimulate:
         p2 = nonlinear_substep(p, 0.05, 0.5)
         m1 = p2 * np.conj(p2[mirror])
         assert np.abs(m1 - m0).max() < 1e-13
+
+    def test_nonlinear_substep_bits(self, rng):
+        # the in-place substep keeps the operand order of the plain formula
+        for N, dt, A in ((512, 0.0019, 0.5), (1024, 0.004, 1.0)):
+            p = A + 0.3 * (rng.normal(size=N) + 1j * rng.normal(size=N))
+            mirror = (-np.arange(N)) % N
+            want = p * np.exp(2j * dt * (p * np.conj(p[mirror]) - A * A))
+            got = nonlinear_substep(p, dt, A, mirror)
+            assert got.tobytes() == want.tobytes()
+            assert nonlinear_substep(p, dt, A).tobytes() == want.tobytes()
 
     def test_substep_matches_high_accuracy_ode(self, rng):
         # cross-check the exact pointwise substep against explicit RK4 of
@@ -122,10 +147,11 @@ class TestSimulate:
     def test_fft_count_per_snapshot(self, verif_profile, monkeypatch):
         counts = {"fft": 0, "ifft": 0}
         for name in counts:
-            def counting(a, *args, _f=getattr(np.fft, name), _n=name, **kw):
+            def counting(a, *args, _f=getattr(scipy.fft, name), _n=name,
+                         **kw):
                 counts[_n] += 1
                 return _f(a, *args, **kw)
-            monkeypatch.setattr(np.fft, name, counting)
+            monkeypatch.setattr(scipy.fft, name, counting)
         grid = SimGrid(L_box=20.0, N=512, dt=0.002, t_max=0.5)
         traj = simulate(verif_profile, grid, snapshot_dt=0.05)
         nsnap, nsub = len(traj.ts) - 1, 25
@@ -182,6 +208,74 @@ class TestSampleRay:
         rows = sample_ray(small_traj, 0.4)
         picked = sample_ray(small_traj, 0.4, [1.1, 0.3, 2.0])
         assert picked == [rows[4], rows[1], rows[8]]
+
+    @staticmethod
+    def _assert_matches_oracle(traj, xi, times=None):
+        rows = sample_ray(traj, xi, times)
+        idx = (range(len(traj.ts)) if times is None else
+               [int(np.argmin(np.abs(traj.ts - t))) for t in times])
+        assert len(rows) == len(idx)
+        for (t, qp, qm), i in zip(rows, idx):
+            assert t == traj.ts[i]
+            xr = 4.0 * xi * t
+            want = _bandlimited_eval(traj.fields[i], traj.L_box,
+                                     np.array([xr, -xr]))
+            got = np.array([qp, qm])
+            assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+        return rows
+
+    @pytest.mark.parametrize("xi", [0.0, 0.4, -0.4, 1.3])
+    def test_matches_direct_sum_on_every_snapshot(self, small_traj, xi):
+        # 9 snapshots: one full block of 8 and a block of 1
+        assert len(small_traj.ts) % sim._SAMPLE_BLOCK != 0
+        self._assert_matches_oracle(small_traj, xi)
+
+    def test_matches_direct_sum_at_unsorted_repeated_times(self, small_traj):
+        self._assert_matches_oracle(
+            small_traj, 0.7, [1.9, 0.0, 1.1, 1.1, 0.3, 2.0, 0.26, 1.1, 0.6,
+                              1.4, 0.8])
+
+    def test_sample_independent_of_block(self, small_traj):
+        rows = sample_ray(small_traj, 0.7)
+        for t, row in zip(small_traj.ts, rows):
+            assert sample_ray(small_traj, 0.7, [t]) == [row]
+
+    def test_zero_ray_at_t0_is_grid_value(self, small_traj):
+        # x = 0 is the node N/2 of the grid
+        (t, qp, qm), = sample_ray(small_traj, 0.0, [0.0])
+        node = small_traj.fields[0][small_traj.x.size // 2]
+        assert t == 0.0 and abs(qp - node) < 1e-14 and qp == qm
+
+    def test_nyquist_mode(self, rng):
+        # the Nyquist coefficient belongs to m = -N/2, as in np.fft.fftfreq
+        N, L = 256, 10.0
+        x = -L + 2.0 * L / N * np.arange(N)
+        fields = np.array([np.exp(-x * x) * (1 + 0.5j) + 0.1 * (-1.0) ** k
+                           + 0.01 * rng.normal(size=N) for k in range(11)])
+        traj = FieldTrajectory(ts=0.1 * np.arange(11), fields=fields, x=x,
+                               A=0.5, L_box=L, noise_floor_estimate=0.0)
+        for xi in (0.37, -1.1):
+            self._assert_matches_oracle(traj, xi)
+
+    def test_time_past_end_raises(self, small_traj):
+        # small_traj ends at t = 2 with snapshots 0.25 apart
+        sample_ray(small_traj, 0.4, [2.12])
+        with pytest.raises(ValueError, match=r"time 2.13 .* t=2\b"):
+            sample_ray(small_traj, 0.4, [1.0, 2.13])
+
+    def test_run_skips_ray_past_noise_cap(self):
+        # A = 1 caps the simulation near t = 8.8; t = 12 has no snapshot
+        cfg = {"schema": 1, "A": 1.0,
+               "profile": {"preset": "gaussian_bump", "amplitude": -0.05,
+                           "width": 1.0, "chirp": 0.0},
+               "rays": [1.5], "t_list": [2.0, 12.0],
+               "grid": {"L_box": 24.0, "N": 512, "dt": 0.0025, "t_max": 12.0}}
+        cap = mi_time_cap(1.0)
+        assert 8.8 < cap < 8.9
+        ray, = run(RunConfig.from_json(json.dumps(cfg))).rays
+        assert ray.skipped and not ray.rows
+        assert ray.reason == ("ValueError: time 12 is outside the trajectory,"
+                              f" whose last snapshot is at t={cap:g}")
 
     def test_times_check_box_exit(self, small_traj):
         # 4 * 4.5 * 2 = 36 is past the box edge at 32, 4 * 4.5 * 1 = 18 is not
@@ -246,3 +340,26 @@ class TestExports:
         assert headers[0]["N"] == small_traj.fields.shape[1]
         assert headers[3]["t"] == pytest.approx(small_traj.ts[3])
         assert np.abs(fields[-1] - small_traj.fields[-1]).max() == 0.0
+
+    def test_binary_round_trip_keeps_bits(self, tmp_path):
+        # signed zeros, infinities and nan come back bit for bit
+        inf, nan = np.inf, np.nan
+        field = np.array([complex(1, -0.0), complex(-0.0, 3), complex(2, inf),
+                          complex(-inf, -0.0), complex(nan, -inf),
+                          complex(-0.0, nan), complex(5e-324, -1e308),
+                          complex(-0.0, -0.0)])
+        traj = FieldTrajectory(ts=np.array([0.0, 0.5]),
+                               fields=np.array([field, field[::-1]]),
+                               x=np.linspace(-1.0, 1.0, 8, endpoint=False),
+                               A=0.5, L_box=1.0, noise_floor_estimate=0.0)
+        path = tmp_path / "snaps.bin"
+        write_snapshots(traj, path)
+        headers, fields = read_snapshots(path)
+        assert [h["t"] for h in headers] == [0.0, 0.5]
+        for got, want in zip(fields, traj.fields):
+            assert got.dtype == complex and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 16)
+        with pytest.raises(ValueError, match="truncated"):
+            read_snapshots(path)

@@ -11,12 +11,15 @@ whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
 traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
 per-layer times and k-point counts, and a separate fresh process per side
-counts the work of five stages on the README config: the line table,
+counts the work of six stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35``,
-``simulate`` and ``trajectory_to_csv``.  Jost work is counted as Magnus
+``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all its
+snapshots, and ``trajectory_to_csv``.  Jost work is counted as Magnus
 cell steps times k-points; the elliptic ray also counts the integrand
-calls of the adaptive quadrature and the points they get, and ``simulate``
-counts its ``np.fft.fft`` and ``np.fft.ifft`` calls.
+calls of the adaptive quadrature and the points they get.  ``simulate``
+counts its ``fft`` and ``ifft`` calls and the rays count their ``fft``
+calls and the snapshots these transform, from ``np.fft`` and
+``scipy.fft`` alike, so that either side is counted the same way.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
@@ -89,25 +92,37 @@ for stage, work in (
     if stage == "elliptic_ray":
         out[stage].update(integrand)
 
-# the split-step run of `nnlslab simulate`, counted by wrapping np.fft
+# the split-step run of `nnlslab simulate` and the ray sampling, counted by
+# wrapping fft and ifft of both np.fft and scipy.fft, whichever a side calls
+import scipy.fft
 import nnlslab.simulator as sim
-ffts = {"fft": 0, "ifft": 0}
-plain = {name: getattr(np.fft, name) for name in ffts}
+ffts = {"fft": 0, "ifft": 0, "rows": 0}
+plain = {(mod, name): getattr(mod, name)
+         for mod in (np.fft, scipy.fft) for name in ("fft", "ifft")}
 
-def counting_fft(name):
-    def counted(*args, **kwargs):
+def counting_fft(mod, name):
+    def counted(a, *args, **kwargs):
         ffts[name] += 1
-        return plain[name](*args, **kwargs)
+        # transforms along the last axis: one row per snapshot
+        ffts["rows"] += np.size(a) // np.shape(a)[-1]
+        return plain[mod, name](a, *args, **kwargs)
     return counted
 
-for name in ffts:
-    setattr(np.fft, name, counting_fft(name))
+for mod, name in plain:
+    setattr(mod, name, counting_fft(mod, name))
 t0 = time.perf_counter()
 traj = sim.simulate(cfg.profile, cfg.sim_grid(max(cfg.t_list)))
 out["simulate"] = {"s": time.perf_counter() - t0, "fft_calls": ffts["fft"],
                    "ifft_calls": ffts["ifft"], "snapshots": len(traj.ts)}
-for name in ffts:
-    setattr(np.fft, name, plain[name])
+ffts.update(fft=0, ifft=0, rows=0)
+t0 = time.perf_counter()
+for xi in np.linspace(0.1, 1.2, 12):
+    sim.sample_ray(traj, xi)
+out["sample_rays"] = {"s": time.perf_counter() - t0, "rays": 12,
+                      "fft_calls": ffts["fft"],
+                      "snapshots_transformed": ffts["rows"]}
+for (mod, name), f in plain.items():
+    setattr(mod, name, f)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "trajectory.csv")
     t0 = time.perf_counter()
