@@ -222,7 +222,6 @@ class TestSampleRay:
                                      np.array([xr, -xr]))
             got = np.array([qp, qm])
             assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
-        return rows
 
     @pytest.mark.parametrize("xi", [0.0, 0.4, -0.4, 1.3])
     def test_matches_direct_sum_on_every_snapshot(self, small_traj, xi):
@@ -250,8 +249,10 @@ class TestSampleRay:
         # the Nyquist coefficient belongs to m = -N/2, as in np.fft.fftfreq
         N, L = 256, 10.0
         x = -L + 2.0 * L / N * np.arange(N)
-        fields = np.array([np.exp(-x * x) * (1 + 0.5j) + 0.1 * (-1.0) ** k
-                           + 0.01 * rng.normal(size=N) for k in range(11)])
+        alternating = (-1.0) ** np.arange(N)
+        fields = np.array([np.exp(-x * x) * (1 + 0.5j) + 0.1 * k * alternating
+                           + 0.01 * rng.normal(size=N) for k in range(1, 12)])
+        assert np.abs(np.fft.fft(fields[0])[N // 2]) / N > 0.09
         traj = FieldTrajectory(ts=0.1 * np.arange(11), fields=fields, x=x,
                                A=0.5, L_box=L, noise_floor_estimate=0.0)
         for xi in (0.37, -1.1):
@@ -354,6 +355,12 @@ class TestExports:
                                A=0.5, L_box=1.0, noise_floor_estimate=0.0)
         path = tmp_path / "snaps.bin"
         write_snapshots(traj, path)
+        # each field is stored as little-endian float64 re/im interleaved
+        with open(path, "rb") as fh:
+            for f in traj.fields:
+                fh.readline()
+                inter = np.stack((f.real, f.imag), axis=1).astype("<f8")
+                assert fh.read(16 * f.size) == inter.tobytes()
         headers, fields = read_snapshots(path)
         assert [h["t"] for h in headers] == [0.0, 0.5]
         for got, want in zip(fields, traj.fields):
