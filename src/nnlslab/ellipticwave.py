@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebpts1
 
 from .background import _vertical_root, f_branch
-from .numerics import (ComplexPath, PhaseUnwrapError, barycentric,
-                       bracket_root, cauchy_segment, continuous_log,
-                       json_value, quad_path, theta3)
+from .numerics import (ComplexPath, PhaseUnwrapError, bracket_root,
+                       cauchy_segment, continuous_log, json_value, quad_path,
+                       theta3)
 from .planewave import _lndelta_on_B, log_delta
 
 __all__ = [
@@ -42,8 +44,10 @@ __all__ = [
 #: rectangle offset for cycle integrals around the cut (checked offset
 #: independent in the test suite)
 _CYCLE_OFFSET = 1e-4
-#: absolute quadrature target of the k0 scan and the surface periods
+#: residual target of the k0 root, relative to the bracket values
 _SURFACE_TOL = 1e-10
+#: Chebyshev nodes of the log delta remainder on each band
+_BAND_DELTA_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -153,25 +157,15 @@ def solve_k0(xi, A):
     The root and Re alpha = -k0 - xi are mirror images about -xi/2; the
     residual vanishes with k0 on the left of the pair, which is also the
     configuration whose Im h carries the steepest-descent signature (bands
-    flanked by decay, growth beyond alpha).  The residual is discontinuous
-    at c = -xi where the alpha cut crosses the background cut, so the scan
-    stays strictly inside.
+    flanked by decay, growth beyond alpha), so the root is bracketed by
+    (-xi, -xi/2).  The residual is discontinuous at c = -xi where the alpha
+    cut crosses the background cut, so the bracket stays strictly inside.
     """
     xi = float(xi)
     if not 0 < xi < np.sqrt(2.0) * A:
         raise ValueError("elliptic rays require 0 < xi < sqrt(2) A")
-    margin = 1e-6 * min(xi, A)
-    grid = np.linspace(-xi * (1 - 1e-3), -margin, 24)
-    vals = [_k0_residual(c, xi, A, tol=_SURFACE_TOL) for c in grid]
-    for i in range(grid.size - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0:
-            return bracket_root(
-                lambda c: _k0_residual(c, xi, A), grid[i], grid[i + 1],
-                tol=_SURFACE_TOL
-            )
-    raise ValueError(f"no sign change of the k0 residual on (-{xi:g}, 0)")
+    return bracket_root(lambda c: _k0_residual(c, xi, A),
+                        -xi * (1 - 1e-3), -xi / 2, tol=_SURFACE_TOL)
 
 
 def _rectangle_around_B(A, off):
@@ -198,33 +192,40 @@ def _segments_cross(a1, b1, a2, b2):
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
+def _agm(a, b):
+    """Optimal complex arithmetic-geometric mean of a and b: each step takes
+    the geometric mean's root b' with |a' - b'| <= |a' + b'| (Cremona &
+    Thongjunthug, J. Number Theory 133, 2013)."""
+    a, b = complex(a), complex(b)
+    for _ in range(64):
+        if abs(a - b) <= 4 * np.finfo(float).eps * abs(a):
+            return a
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    raise RuntimeError("complex AGM did not converge in 64 steps")
+
+
 def build_surface(xi, A):
     """Solve for k0, fix alpha, and normalize the genus-1 periods; the
-    surface is determined by (xi, A) alone."""
+    surface is determined by (xi, A) alone.
+
+    With the branch points a, b, c, d = iA, -iA, alpha, conj(alpha) the
+    B-period of dk/gamma is 2 pi i / AGM(sqrt((a-c)(b-d)), sqrt((a-d)(b-c)))
+    and the a-period 2 pi / AGM(sqrt((a-b)(c-d)), sqrt((a-d)(c-b)))."""
     k0 = solve_k0(xi, A)
     alpha = alpha_of(k0, xi, A)
-    band_u = ComplexPath.segment(k0, alpha, "log", "inverse_sqrt")
-    band_l = ComplexPath.segment(k0, np.conj(alpha), "log", "inverse_sqrt")
-    for seg in (band_u, band_l):
-        if _segments_cross(seg.vertices[0], seg.vertices[1], -1j * A, 1j * A):
-            raise ValueError("band contour crosses the background cut")
-
-    def inv_gamma(z):
-        return 1.0 / gamma_rs(z, A, alpha)
-
-    b_period = _cycle_rectangle(inv_gamma, A, _CYCLE_OFFSET, tol=_SURFACE_TOL)
-    C = 1.0 / b_period
-    a_half = quad_path(
-        inv_gamma,
-        ComplexPath.segment(np.conj(alpha), -1j * A, "inverse_sqrt", "inverse_sqrt"),
-        tol=_SURFACE_TOL,
-    )
-    tau = 2.0 * C * a_half
+    a, b, c, d = 1j * A, -1j * A, alpha, np.conj(alpha)
+    C = _agm(np.sqrt((a - c) * (b - d)), np.sqrt((a - d) * (b - c))) / (2j * np.pi)
+    tau = -2j * np.pi * C / _agm(np.sqrt((a - b) * (c - d)),
+                                 np.sqrt((a - d) * (c - b)))
     if tau.imag < 0:
         tau = -tau
-    return SurfaceData(k0=float(k0), alpha=alpha, A=A, xi=float(xi),
-                       C_norm=complex(C), tau=complex(tau),
-                       band_upper=band_u, band_lower=band_l)
+    return SurfaceData(
+        k0=float(k0), alpha=alpha, A=A, xi=float(xi), C_norm=complex(C),
+        tau=complex(tau),
+        band_upper=ComplexPath.segment(k0, alpha, "log", "inverse_sqrt"),
+        band_lower=ComplexPath.segment(k0, d, "log", "inverse_sqrt"))
 
 
 def _dh_density(surface):
@@ -242,22 +243,12 @@ def dh_b_period(surface):
 
 
 def _ray_tail_integral(fn, base, tol):
-    """Integral of fn along the vertical ray from base away from the real
-    axis, truncated at |offset| = S with a two-term power-law tail appended."""
-    dirn = 1j if base.imag > 0 else -1j
-    S = 1e6
-    spans = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, S]
-    verts = [base] + [base + dirn * s for s in spans]
-    val = quad_path(fn, ComplexPath(tuple(verts), ("inverse_sqrt", "none")), tol=tol)
-    # fit fn ~ kap2/k^2 + kap3/k^3 at the last two probe offsets
-    k1 = base + dirn * (S / 2)
-    k2 = base + dirn * S
-    f1 = complex(np.asarray(fn(np.array([k1])))[0])
-    f2 = complex(np.asarray(fn(np.array([k2])))[0])
-    M = np.array([[1.0 / k1**2, 1.0 / k1**3], [1.0 / k2**2, 1.0 / k2**3]])
-    kap2, kap3 = np.linalg.solve(M, np.array([f1, f2]))
-    tail = kap2 / k2 + kap3 / (2.0 * k2**2)
-    return val + tail
+    """Integral of fn = O(k^-2) along the vertical ray from the branch point
+    base away from the real axis.  Under k = 1/w the ray is the segment
+    [0, 1/base], on which fn(1/w)/w^2 is analytic at w = 0."""
+    return quad_path(lambda w: fn(1.0 / w) / (w * w),
+                     ComplexPath.segment(0, 1.0 / base, "none", "inverse_sqrt"),
+                     tol=tol)
 
 
 def h_machinery(surface):
@@ -335,12 +326,6 @@ def h_machinery(surface):
     return complex(H_inf), complex(Omega), h
 
 
-def _chebyshev_t(n):
-    """n Chebyshev points of the first kind in (0, 1), descending."""
-    j = np.arange(n)
-    return 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * n)))
-
-
 def _band_nodes(surface):
     """Chebyshev nodes per band for the logs of r1 and r2.
 
@@ -361,12 +346,13 @@ def _sample_band_logs(spectral, surface):
     principal branch at t = 0.
 
     Both bands go through one reflection batch at ``_band_nodes`` Chebyshev
-    nodes plus the two ends; their number doubles, at most four times, while
-    the phase cannot be unwrapped."""
+    nodes plus the two ends, and each log is the Chebyshev series through
+    these points; their number doubles, at most four times, while the phase
+    cannot be unwrapped."""
     n = _band_nodes(surface)
     k0 = surface.k0
     for _ in range(5):
-        ts = np.concatenate([[0.0], _chebyshev_t(n)[::-1], [1.0]])
+        ts = np.concatenate([[0.0], 0.5 * (1.0 + chebpts1(n)), [1.0]])
         pts = np.concatenate([k0 + ts * (surface.alpha - k0),
                               k0 + ts * (np.conj(surface.alpha) - k0)])
         r1, r2 = spectral.reflection_at(pts)
@@ -377,34 +363,42 @@ def _sample_band_logs(spectral, surface):
                     f"r{component} nearly vanishes on the band contour"
                 )
         try:
-            return tuple(barycentric(ts, continuous_log(v)) for v in bands)
+            return tuple(Chebyshev.fit(ts, continuous_log(v), ts.size - 1,
+                                       domain=[0, 1]) for v in bands)
         except PhaseUnwrapError:
             n *= 2
     raise PhaseUnwrapError("band-contour log did not stabilize")
 
 
 class _BandDelta:
-    """log delta(zeta, k0) along a band contour split into the explicit
-    i*nu*log(k0 - zeta) singular part plus a remainder interpolated from 48
-    Chebyshev nodes."""
+    """log delta(zeta, k0) along a band contour split into its singular part
+    at k0, (i nu + mu (zeta - k0)) log(k0 - zeta) from the value and slope
+    of log(1 + r1 r2) at k0, plus a remainder interpolated from
+    ``_BAND_DELTA_NODES`` Chebyshev nodes."""
 
     def __init__(self, spectral, k0, path):
         self.k0 = float(k0)
         self.a = path.vertices[0]
         self.b = path.vertices[-1]
         self.nu = -spectral.log_rr(self.k0) / (2.0 * np.pi)
-        ts = _chebyshev_t(48)
-        pts = self.a + ts * (self.b - self.a)
-        vals = (log_delta(pts, self.k0, spectral)
-                - 1j * self.nu * np.log(self.k0 - pts))
-        self._interp = barycentric(ts, vals)
+        self.mu = spectral.line_spline(self.k0, 1) / (2j * np.pi)
+
+        def remainder(t):
+            z = self.a + t * (self.b - self.a)
+            return log_delta(z, self.k0, spectral) - self._singular(z)
+
+        self._interp = Chebyshev.interpolate(remainder, _BAND_DELTA_NODES - 1,
+                                             domain=[0, 1])
+
+    def _singular(self, z):
+        return (1j * self.nu + self.mu * (z - self.k0)) * np.log(self.k0 - z)
 
     def t(self, z):
         """The band parameter of z = a + t (b - a)."""
         return np.real((z - self.a) / (self.b - self.a))
 
     def __call__(self, z):
-        return self._interp(self.t(z)) + 1j * self.nu * np.log(self.k0 - z)
+        return self._interp(self.t(z)) + self._singular(z)
 
 
 def g_machinery(surface, spectral):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import brentq
 from scipy.special import gamma as _scipy_gamma
 
@@ -28,7 +27,6 @@ __all__ = [
     "cauchy_segment",
     "bracket_root",
     "continuous_log",
-    "barycentric",
     "json_value",
 ]
 
@@ -302,16 +300,6 @@ def bracket_root(g, lo, hi, tol=1e-12):
             f"residual {abs(g(root)):.2e} exceeds {tol:.1e} * {scale:.2e}"
         )
     return float(root)
-
-
-def barycentric(x, y):
-    """Barycentric interpolant of the samples y at the nodes x.
-
-    scipy multiplies out each weight's product in a random order, drawn from
-    numpy's global random state unless it is given a generator.  A fixed
-    generator makes the weights depend on the nodes alone, so an interpolated
-    value does not depend on what ran before it."""
-    return BarycentricInterpolator(x, y, rng=0)
 
 
 def json_value(x):

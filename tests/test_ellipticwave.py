@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 import nnlslab.ellipticwave as ew
+from nnlslab.background import f_branch
 from nnlslab.ellipticwave import (abel_constants, alpha_of, build_surface,
                                   elliptic_data, elliptic_eval, g_machinery,
                                   gamma2, gamma_rs, h_machinery,
@@ -11,11 +13,62 @@ from nnlslab.planewave import delta_fn
 from nnlslab.scattering import InitialProfile, SpectralTable
 
 A, XI = 0.5, 0.35
+#: (A, xi / (sqrt(2) A)) of the period oracles, out to both region edges
+PERIOD_GRID = [(A_, frac) for A_ in (0.3, 0.5, 1.0, 2.0)
+               for frac in (0.003, 0.02, 0.4, 0.95, 0.999)]
 
 
 @pytest.fixture(scope="module")
 def surface():
     return build_surface(XI, A)
+
+
+@pytest.fixture(scope="module")
+def surface_grid():
+    return [build_surface(frac * np.sqrt(2.0) * A_, A_)
+            for A_, frac in PERIOD_GRID]
+
+
+def mp_root(roots, m, ref):
+    """k -> sqrt(prod(k - r)) in mpmath, cut along the rays that leave each
+    root r directly away from the point m, with the package's value ref at m
+    (so that it is analytic along any path through m that meets no cut)."""
+    ds = [(r - m) / abs(r - m) for r in roots]
+
+    def prod(k):
+        return mp.fprod(mp.sqrt((r - k) / d) for r, d in zip(roots, ds))
+
+    c = mp.sqrt(mp.fprod(-1 / d for d in ds))
+    if abs(complex(prod(m) / c) - ref) > abs(complex(prod(m) / c) + ref):
+        c = -c
+    return lambda k: prod(k) / c
+
+
+def mp_roots(surf):
+    """alpha and the branch points iA, -iA, alpha, conj(alpha) in mpmath,
+    with alpha recomputed from k0 so that the alpha identities are exact."""
+    A_, k0, xi = mp.mpf(surf.A), mp.mpf(surf.k0), mp.mpf(surf.xi)
+    alpha = mp.mpc(-k0 - xi, mp.sqrt(A_ * A_ + 2 * k0 * k0 + 2 * k0 * xi))
+    return alpha, [mp.mpc(0, A_), mp.mpc(0, -A_), alpha, mp.conj(alpha)]
+
+
+def mp_ray(surf, fn, base):
+    """Integral of fn(k, gamma2, f) from the branch point base along the
+    vertical ray away from the real axis: tanh-sinh to |k - base| = 1e8, plus
+    the k^-2 tail beyond."""
+    _, roots = mp_roots(surf)
+    dirn = mp.mpc(0, 1 if base.imag > 0 else -1)
+    m = base + dirn
+    g2 = mp_root(roots[2:], m, complex(gamma2(complex(m), surf.alpha)))
+    f = mp_root(roots[:2], m, complex(f_branch(complex(m), surf.A)))
+
+    def F(k):
+        return fn(k, g2(k), f(k))
+
+    body = dirn * mp.quad(lambda u: F(base + dirn * u),
+                          [0] + [mp.mpf(10) ** j for j in range(9)])
+    k_end = base + dirn * mp.mpf(10) ** 8
+    return body + k_end * F(k_end)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +133,21 @@ class TestSolveK0:
         with pytest.raises(ValueError):
             solve_k0(2.0, 1.0)
 
+    def test_one_bracket(self, monkeypatch):
+        residual = ew._k0_residual
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(ew, "_k0_residual", counted)
+        solve_k0(XI, A)
+        assert len(calls) < 24
+        monkeypatch.setattr(ew, "_k0_residual", lambda c, xi, A: 1.0 + c)
+        with pytest.raises(ValueError, match="no sign change"):
+            solve_k0(XI, A)
+
 
 class TestBuildSurface:
     def test_alpha_relations(self, surface):
@@ -92,13 +160,39 @@ class TestBuildSurface:
     def test_im_tau_positive(self, surface):
         assert surface.tau.imag > 0
 
-    def test_b_cycle_normalization(self, surface):
+    def test_b_cycle_normalization(self, surface_grid):
+        # C_norm from the AGM normalizes the quadrature's B-cycle of dk/gamma
         from nnlslab.ellipticwave import _cycle_rectangle
 
-        val = surface.C_norm * _cycle_rectangle(
-            lambda z: 1.0 / gamma_rs(z, A, surface.alpha), A, 1e-4
-        )
-        assert abs(val - 1.0) < 1e-10
+        for surf in surface_grid:
+            val = surf.C_norm * _cycle_rectangle(
+                lambda z: 1.0 / gamma_rs(z, surf.A, surf.alpha), surf.A, 1e-4
+            )
+            assert abs(val - 1.0) < 1e-12
+
+    def test_tau_against_mpmath(self, surface_grid):
+        # tau is the half a-period [conj alpha, -iA] over the half B-period
+        # up the right side of the cut, at 30 digits
+        for surf in surface_grid:
+            with mp.workdps(30):
+                alpha, roots = mp_roots(surf)
+
+                def half_period(p, q):
+                    m = (p + q) / 2
+                    g = mp_root(roots, m, complex(
+                        gamma_rs(complex(m), surf.A, surf.alpha)))
+                    return mp.quad(lambda k: 1 / g(k), [p, q])
+
+                ref = complex(half_period(mp.conj(alpha), roots[1])
+                              / half_period(roots[1], roots[0]))
+            ref = -ref if ref.imag < 0 else ref
+            assert abs(surf.tau - ref) < 1e-11
+
+    def test_agm(self):
+        assert ew._agm(1.0, 2.0) == pytest.approx(float(mp.agm(1, 2)),
+                                                  rel=4e-16)
+        with pytest.raises(RuntimeError, match="64 steps"):
+            ew._agm(1.0, float("nan"))
 
     def test_cycle_offset_independence(self, surface):
         from nnlslab.ellipticwave import _cycle_rectangle
@@ -180,6 +274,21 @@ class TestHMachinery:
         with pytest.raises(RuntimeError, match="H_inf has imaginary part"):
             elliptic_data(XI, A, verif_table)
 
+    @pytest.mark.parametrize("xi", [0.05, XI])
+    def test_H_inf_against_mpmath(self, xi):
+        surf = build_surface(xi, A)
+        H_inf, _, _ = h_machinery(surf)
+        with mp.workdps(30):
+            k0, xm = mp.mpf(surf.k0), mp.mpf(xi)
+
+            def decayed(k, g2, f):
+                return ((k - k0) * g2 - (k + xm) * f) / f
+
+            ref = complex(2 * (mp_ray(surf, decayed, mp.mpc(0, A))
+                               + mp_ray(surf, decayed, mp.mpc(0, -A)))
+                          + 2 * mp.mpf(A) ** 2)
+        assert abs(H_inf - ref) < 1e-12 * (1 + abs(ref))
+
     def test_path_crossing_guard(self, surface):
         _, _, h = h_machinery(surface)
         with pytest.raises(ValueError):
@@ -233,6 +342,17 @@ class TestGMachinery:
         with pytest.raises(ValueError):
             g_machinery(surface, SpectralTable(bg_profile))
 
+    @pytest.mark.parametrize("xi", [0.09313735206876265, 0.30, XI])
+    def test_band_delta_converged(self, xi, verif_table, monkeypatch):
+        # the log delta remainder is C^1 at k0 once (z - k0) log(k0 - z) is
+        # subtracted too, so doubling its nodes hardly moves the constants
+        surf = build_surface(xi, A)
+        omega, G_inf, _ = g_machinery(surf, verif_table)
+        monkeypatch.setattr(ew, "_BAND_DELTA_NODES", 2 * ew._BAND_DELTA_NODES)
+        omega2, G_inf2, _ = g_machinery(surf, verif_table)
+        assert abs(omega2 - omega) < 2e-12
+        assert abs(G_inf2 - G_inf) < 2e-12
+
     def test_band_logs_converged_on_small_xi(self, verif_table, monkeypatch):
         # the band end alpha sits 0.03 from the branch point iA here, the
         # slowest-converging band of the benchmark's seed-0 rays
@@ -256,6 +376,16 @@ class TestAbelConstants:
         assert 1.0 * alpha.real / (1.0 + alpha.imag) == pytest.approx(
             -0.2777777777777778
         )
+
+    @pytest.mark.parametrize("xi", [0.05, XI])
+    def test_v_inf_against_mpmath(self, xi):
+        surf = build_surface(xi, A)
+        v_inf, _, _ = abel_constants(surf)
+        with mp.workdps(30):
+            C = mp.mpc(surf.C_norm)
+            ref = complex(mp_ray(surf, lambda k, g2, f: C / (g2 * f),
+                                 mp.mpc(0, A)))
+        assert abs(v_inf - ref) < 1e-12 * (1 + abs(ref))
 
     def test_theta_denominators_nonzero(self, surface):
         v_inf, c, khat0 = abel_constants(surface)

@@ -14,9 +14,11 @@ per-layer times and k-point counts, and a separate fresh process per side
 counts the work of six stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35``,
 ``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all its
-snapshots, and ``trajectory_to_csv``.  Jost work is counted as Magnus
-cell steps times k-points; the elliptic ray also counts the integrand
-calls of the adaptive quadrature and the points they get.  ``simulate``
+snapshots, and ``trajectory_to_csv``.  Each stage runs five times; its
+seconds are the median of the five.  Jost work is counted as Magnus cell
+steps times k-points; the elliptic ray also counts its ``quad_path``
+calls, the integrand calls of the adaptive quadrature and the points they
+get.  ``simulate``
 counts its ``fft`` and ``ifft`` calls and the rays count their ``fft``
 calls and the snapshots these transform, from ``np.fft`` and
 ``scipy.fft`` alike, so that either side is counted the same way.
@@ -42,9 +44,11 @@ SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
 TRACED = ("compare_readme", "ray_sweep")
 
 #: counts Jost, quadrature and simulator work in a fresh process; argv[1] is
-#: a source tree
+#: a source tree.  Each stage runs REPEATS times: its seconds are the median,
+#: its counts those of one run (every run does the same work)
 WORK_COUNTS = r"""
 import json, os, sys, tempfile, time
+from collections import Counter
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import nnlslab.ellipticwave as ew
@@ -53,82 +57,95 @@ import nnlslab.scattering as sc
 from nnlslab.background import classify_ray
 from nnlslab.harness import RunConfig
 
+REPEATS = 5
+
 # Magnus on the sample cells: cell steps times k-points, where a side has
 # samples // 2 sample cells, each cut into `split` parts
-calls = [0]
+counts = Counter()
 propagate = sc._propagate
 
 def counting(profile, side, split, ks, *args):
-    calls[0] += profile.samples.size // 2 * split * ks.size
+    counts["magnus_cell_kpoints"] += profile.samples.size // 2 * split * ks.size
     return propagate(profile, side, split, ks, *args)
 
 sc._propagate = counting
 
-# every integrand call of the adaptive quadrature, and the points it gets
-integrand = {"integrand_calls": 0, "integrand_points": 0}
+# every quad_path call (under both names a caller may use), every integrand
+# call of the adaptive quadrature, and the points it gets
 adaptive_panels = nm._adaptive_panels
+quad_path = nm.quad_path
 
 def counting_panels(f, *args, **kwargs):
     def counted(z):
-        integrand["integrand_calls"] += 1
-        integrand["integrand_points"] += z.size
+        counts["integrand_calls"] += 1
+        counts["integrand_points"] += z.size
         return f(z)
     return adaptive_panels(counted, *args, **kwargs)
 
+def counting_quad_path(*args, **kwargs):
+    counts["quad_path_calls"] += 1
+    return quad_path(*args, **kwargs)
+
 nm._adaptive_panels = counting_panels
+nm.quad_path = ew.quad_path = counting_quad_path
+
+def stage(work, *keys):
+    # median seconds of REPEATS runs of work(), the counts `keys` of the
+    # last run, and its result
+    times = []
+    for _ in range(REPEATS):
+        counts.clear()
+        t0 = time.perf_counter()
+        result = work()
+        times.append(time.perf_counter() - t0)
+    return {"s": float(np.median(times)), **{k: counts[k] for k in keys}}, result
+
 cfg = RunConfig.from_json(sys.argv[2])
-table = sc.SpectralTable(cfg.profile)
+
+def line_table():
+    table = sc.SpectralTable(cfg.profile)
+    table.k_tail
+    return table
+
 out = {}
-for stage, work in (
-        ("line_table", lambda: table.k_tail),
-        ("validate", lambda: sc.validate_assumptions(
-            table, [classify_ray(max(cfg.rays), cfg.A)])),
-        ("elliptic_ray", lambda: ew.elliptic_data(0.35, cfg.A, table))):
-    calls[0] = 0
-    integrand.update(integrand_calls=0, integrand_points=0)
-    t0 = time.perf_counter()
-    work()
-    out[stage] = {"s": time.perf_counter() - t0, "magnus_cell_kpoints": calls[0]}
-    if stage == "elliptic_ray":
-        out[stage].update(integrand)
+out["line_table"], table = stage(line_table, "magnus_cell_kpoints")
+out["validate"], _ = stage(lambda: sc.validate_assumptions(
+    table, [classify_ray(max(cfg.rays), cfg.A)]), "magnus_cell_kpoints")
+out["elliptic_ray"], _ = stage(
+    lambda: ew.elliptic_data(0.35, cfg.A, table), "magnus_cell_kpoints",
+    "quad_path_calls", "integrand_calls", "integrand_points")
 
 # the split-step run of `nnlslab simulate` and the ray sampling, counted by
 # wrapping fft and ifft of both np.fft and scipy.fft, whichever a side calls
 import scipy.fft
 import nnlslab.simulator as sim
-ffts = {"fft": 0, "ifft": 0, "rows": 0}
 plain = {(mod, name): getattr(mod, name)
          for mod in (np.fft, scipy.fft) for name in ("fft", "ifft")}
 
 def counting_fft(mod, name):
     def counted(a, *args, **kwargs):
-        ffts[name] += 1
+        counts[name + "_calls"] += 1
         # transforms along the last axis: one row per snapshot
-        ffts["rows"] += np.size(a) // np.shape(a)[-1]
+        counts["snapshots_transformed"] += np.size(a) // np.shape(a)[-1]
         return plain[mod, name](a, *args, **kwargs)
     return counted
 
 for mod, name in plain:
     setattr(mod, name, counting_fft(mod, name))
-t0 = time.perf_counter()
-traj = sim.simulate(cfg.profile, cfg.sim_grid(max(cfg.t_list)))
-out["simulate"] = {"s": time.perf_counter() - t0, "fft_calls": ffts["fft"],
-                   "ifft_calls": ffts["ifft"], "snapshots": len(traj.ts)}
-ffts.update(fft=0, ifft=0, rows=0)
-t0 = time.perf_counter()
-for xi in np.linspace(0.1, 1.2, 12):
-    sim.sample_ray(traj, xi)
-out["sample_rays"] = {"s": time.perf_counter() - t0, "rays": 12,
-                      "fft_calls": ffts["fft"],
-                      "snapshots_transformed": ffts["rows"]}
+out["simulate"], traj = stage(
+    lambda: sim.simulate(cfg.profile, cfg.sim_grid(max(cfg.t_list))),
+    "fft_calls", "ifft_calls")
+out["simulate"]["snapshots"] = len(traj.ts)
+out["sample_rays"], _ = stage(
+    lambda: [sim.sample_ray(traj, xi) for xi in np.linspace(0.1, 1.2, 12)],
+    "fft_calls", "snapshots_transformed")
+out["sample_rays"]["rays"] = 12
 for (mod, name), f in plain.items():
     setattr(mod, name, f)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "trajectory.csv")
-    t0 = time.perf_counter()
-    sim.trajectory_to_csv(traj, path)
-    out["trajectory_csv"] = {"s": time.perf_counter() - t0,
-                             "mib": os.path.getsize(path) / 2**20}
+    out["trajectory_csv"], _ = stage(lambda: sim.trajectory_to_csv(traj, path))
+    out["trajectory_csv"]["mib"] = os.path.getsize(path) / 2**20
 print(json.dumps(out))
 """
 
