@@ -18,10 +18,10 @@ snapshots, and ``trajectory_to_csv``.  Each stage runs five times; its
 seconds are the median of the five.  Jost work is counted as Magnus cell
 steps times k-points; the elliptic ray also counts its ``quad_path``
 calls, the integrand calls of the adaptive quadrature and the points they
-get.  ``simulate``
-counts its ``fft`` and ``ifft`` calls and the rays count their ``fft``
-calls and the snapshots these transform, from ``np.fft`` and
-``scipy.fft`` alike, so that either side is counted the same way.
+get.  ``simulate`` counts its ``fft`` and ``ifft`` calls and the rays
+count their ``fft`` calls and the snapshots these transform, from
+``np.fft`` and ``scipy.fft`` alike, so that either side is counted the
+same way.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
