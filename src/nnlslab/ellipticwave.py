@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebpts1
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .background import _vertical_root, f_branch
 from .numerics import (ComplexPath, PhaseUnwrapError, bracket_root,
@@ -46,8 +46,6 @@ __all__ = [
 _CYCLE_OFFSET = 1e-4
 #: residual target of the k0 root, relative to the bracket values
 _SURFACE_TOL = 1e-10
-#: Chebyshev nodes of the log delta remainder on each band
-_BAND_DELTA_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -327,12 +325,12 @@ def h_machinery(surface):
 
 
 def _band_nodes(surface):
-    """Chebyshev nodes per band for the logs of r1 and r2.
+    """Chebyshev nodes per band for the band densities.
 
-    Their nearest singularity is the branch point iA (-iA for the lower
-    band).  With rho the Bernstein-ellipse parameter of the band through it,
-    the interpolation error falls like rho^-n; n is chosen so that rho^-n
-    < e^-25, and at least 48."""
+    Their nearest singularity, from the logs of r1 and r2, is the branch
+    point iA (-iA for the lower band).  With rho the Bernstein-ellipse
+    parameter of the band through it, the interpolation error falls like
+    rho^-n; n is chosen so that rho^-n < e^-25, and at least 48."""
     k0, alpha = surface.k0, surface.alpha
     u = 2.0 * (1j * surface.A - k0) / (alpha - k0) - 1.0
     root = np.sqrt(u * u - 1.0)
@@ -340,19 +338,31 @@ def _band_nodes(surface):
     return max(48, int(np.ceil(25.0 / np.log(rho))))
 
 
-def _sample_band_logs(spectral, surface):
-    """Interpolants in t of the continuous logs of r1 on the upper band and
-    r2 on the lower band, each z = k0 + t (end - k0), anchored at the
-    principal branch at t = 0.
+def _band_densities(spectral, surface):
+    """(upper, lower, singular): the regular parts of the band densities as
+    Chebyshev series in t, z = k0 + t (end - k0), and their common singular
+    part at k0.
 
-    Both bands go through one reflection batch at ``_band_nodes`` Chebyshev
-    nodes plus the two ends, and each log is the Chebyshev series through
-    these points; their number doubles, at most four times, while the phase
-    cannot be unwrapped."""
-    n = _band_nodes(surface)
+    The densities are 2 log delta(z, k0) - log r1 on the upper band and
+    2 log delta(z, k0) + log r2 on the lower band, with the logs of r1, r2
+    continued from the principal branch at k0.  Near k0, 2 log delta is
+    singular = 2 (i nu + mu (z - k0)) log(k0 - z) plus a C^1 remainder,
+    with i nu and mu the value and slope of log(1 + r1 r2)/(2 pi i) at k0.
+    Each series interpolates its density less singular at ``_band_nodes``
+    first-kind nodes, sampled in one reflection batch and one log delta
+    batch for both bands; k0 itself only anchors the logs.  The node count
+    doubles, at most four times, while the phase cannot be unwrapped."""
     k0 = surface.k0
+    nu = -spectral.log_rr(k0) / (2.0 * np.pi)
+    mu = spectral.line_spline(k0, 1) / (2j * np.pi)
+
+    def singular(z):
+        return 2.0 * (1j * nu + mu * (z - k0)) * np.log(k0 - z)
+
+    n = _band_nodes(surface)
     for _ in range(5):
-        ts = np.concatenate([[0.0], 0.5 * (1.0 + chebpts1(n)), [1.0]])
+        x = chebpts1(n)
+        ts = np.concatenate([[0.0], 0.5 * (1.0 + x)])
         pts = np.concatenate([k0 + ts * (surface.alpha - k0),
                               k0 + ts * (np.conj(surface.alpha) - k0)])
         r1, r2 = spectral.reflection_at(pts)
@@ -363,42 +373,19 @@ def _sample_band_logs(spectral, surface):
                     f"r{component} nearly vanishes on the band contour"
                 )
         try:
-            return tuple(Chebyshev.fit(ts, continuous_log(v), ts.size - 1,
-                                       domain=[0, 1]) for v in bands)
+            lnr1, lnr2 = (continuous_log(v)[1:] for v in bands)
         except PhaseUnwrapError:
             n *= 2
+            continue
+        z = np.delete(pts, [0, ts.size])
+        regular = (2.0 * log_delta(z, k0, spectral) - singular(z)
+                   + np.concatenate([-lnr1, lnr2])).reshape(2, n)
+        # the interpolant at the nodes: a discrete Chebyshev transform
+        coef = chebvander(x, n - 1).T @ regular.T * (2.0 / n)
+        coef[0] /= 2.0
+        return (Chebyshev(coef[:, 0], domain=[0, 1]),
+                Chebyshev(coef[:, 1], domain=[0, 1]), singular)
     raise PhaseUnwrapError("band-contour log did not stabilize")
-
-
-class _BandDelta:
-    """log delta(zeta, k0) along a band contour split into its singular part
-    at k0, (i nu + mu (zeta - k0)) log(k0 - zeta) from the value and slope
-    of log(1 + r1 r2) at k0, plus a remainder interpolated from
-    ``_BAND_DELTA_NODES`` Chebyshev nodes."""
-
-    def __init__(self, spectral, k0, path):
-        self.k0 = float(k0)
-        self.a = path.vertices[0]
-        self.b = path.vertices[-1]
-        self.nu = -spectral.log_rr(self.k0) / (2.0 * np.pi)
-        self.mu = spectral.line_spline(self.k0, 1) / (2j * np.pi)
-
-        def remainder(t):
-            z = self.a + t * (self.b - self.a)
-            return log_delta(z, self.k0, spectral) - self._singular(z)
-
-        self._interp = Chebyshev.interpolate(remainder, _BAND_DELTA_NODES - 1,
-                                             domain=[0, 1])
-
-    def _singular(self, z):
-        return (1j * self.nu + self.mu * (z - self.k0)) * np.log(self.k0 - z)
-
-    def t(self, z):
-        """The band parameter of z = a + t (b - a)."""
-        return np.real((z - self.a) / (self.b - self.a))
-
-    def __call__(self, z):
-        return self._interp(self.t(z)) + self._singular(z)
 
 
 def g_machinery(surface, spectral):
@@ -418,9 +405,7 @@ def g_machinery(surface, spectral):
     alpha = surface.alpha
     tol = 1e-9
 
-    lnr1, lnr2 = _sample_band_logs(spectral, surface)
-    bd_u = _BandDelta(spectral, k0, surface.band_upper)
-    bd_l = _BandDelta(spectral, k0, surface.band_lower)
+    upper, lower, singular = _band_densities(spectral, surface)
     lnd_B = _lndelta_on_B(k0, spectral)
 
     def inv_gamma_u(z):
@@ -433,10 +418,12 @@ def g_machinery(surface, spectral):
         return 2.0 * lnd_B(np.imag(z)) * inv_gamma_l(z)
 
     def rho_u(z):
-        return (2.0 * bd_u(z) - lnr1(bd_u.t(z))) * inv_gamma_u(z)
+        t = np.real((z - k0) / (alpha - k0))
+        return (upper(t) + singular(z)) * inv_gamma_u(z)
 
     def rho_l(z):
-        return (2.0 * bd_l(z) + lnr2(bd_l.t(z))) * inv_gamma_l(z)
+        t = np.real((z - k0) / (np.conj(alpha) - k0))
+        return (lower(t) + singular(z)) * inv_gamma_l(z)
 
     B_path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
     I_B = quad_path(rho_B, B_path, tol=tol)

@@ -58,11 +58,8 @@ class RootFindError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComplexPath:
-    """Piecewise-straight contour with optional endpoint singularity tags.
-
-    ``endpoint_singularity`` tags the first and last vertex; interior
-    vertices are assumed regular.
-    """
+    """Straight segment between two distinct vertices with endpoint
+    singularity tags."""
 
     vertices: tuple
     endpoint_singularity: tuple = ("none", "none")
@@ -70,11 +67,8 @@ class ComplexPath:
     def __post_init__(self):
         verts = tuple(complex(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise ValueError("path needs at least 2 vertices")
-        for a, b in zip(verts[:-1], verts[1:]):
-            if a == b:
-                raise ValueError("consecutive path vertices must be distinct")
+        if len(verts) != 2 or verts[0] == verts[1]:
+            raise ValueError("a path is a segment between two distinct vertices")
         tags = tuple(self.endpoint_singularity)
         if len(tags) != 2 or any(t not in _SING_TAGS for t in tags):
             raise ValueError(f"endpoint tags must be a pair from {_SING_TAGS}")
@@ -82,7 +76,7 @@ class ComplexPath:
 
     @classmethod
     def segment(cls, a, b, start="none", end="none"):
-        return cls((complex(a), complex(b)), (start, end))
+        return cls((a, b), (start, end))
 
 
 def gamma_complex(z):
@@ -223,18 +217,7 @@ def quad_path(f, path, tol=1e-10):
     (inverse square root) or a geometrically graded mesh (logarithmic).
     ``tol`` is the absolute error target.
     """
-    if not isinstance(path, ComplexPath):
-        path = ComplexPath(tuple(path))
-    verts = path.vertices
-    nseg = len(verts) - 1
-    start_tag, end_tag = path.endpoint_singularity
-    total = 0.0 + 0.0j
-    tol_seg = tol / nseg
-    for i in range(nseg):
-        s = start_tag if i == 0 else "none"
-        e = end_tag if i == nseg - 1 else "none"
-        total += _quad_segment(f, verts[i], verts[i + 1], s, e, tol_seg)
-    return total
+    return _quad_segment(f, *path.vertices, *path.endpoint_singularity, tol)
 
 
 def cauchy_segment(phi, a, b, k, tol=1e-10, endpoint_singularity=("none", "none")):
@@ -279,10 +262,18 @@ def bracket_root(g, lo, hi, tol=1e-12):
     """Root of a real scalar function on a sign-changing bracket.
 
     Uses Brent's bisection / inverse-quadratic hybrid, then verifies the
-    residual |g(root)| against ``tol`` relative to the bracket values.
+    residual |g(root)| against ``tol`` relative to the bracket values.  Brent
+    returns a point it has evaluated, so g is called once per point.
     """
-    glo = g(lo)
-    ghi = g(hi)
+    seen = {}
+
+    def memo(x):
+        if x not in seen:
+            seen[x] = g(x)
+        return seen[x]
+
+    glo = memo(lo)
+    ghi = memo(hi)
     if glo == 0.0:
         return float(lo)
     if ghi == 0.0:
@@ -290,14 +281,15 @@ def bracket_root(g, lo, hi, tol=1e-12):
     if glo * ghi > 0.0:
         raise ValueError(f"no sign change on bracket [{lo:g}, {hi:g}]")
     try:
-        root = brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)),
+        root = brentq(memo, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)),
                       rtol=4 * np.finfo(float).eps, maxiter=200)
     except RuntimeError as exc:
         raise RootFindError(str(exc)) from exc
     scale = max(1.0, abs(glo), abs(ghi))
-    if abs(g(root)) > tol * scale:
+    residual = abs(memo(root))
+    if residual > tol * scale:
         raise RootFindError(
-            f"residual {abs(g(root)):.2e} exceeds {tol:.1e} * {scale:.2e}"
+            f"residual {residual:.2e} exceeds {tol:.1e} * {scale:.2e}"
         )
     return float(root)
 

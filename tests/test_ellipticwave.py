@@ -8,7 +8,7 @@ from nnlslab.ellipticwave import (abel_constants, alpha_of, build_surface,
                                   elliptic_data, elliptic_eval, g_machinery,
                                   gamma2, gamma_rs, h_machinery,
                                   reality_residuals, solve_k0)
-from nnlslab.numerics import theta3
+from nnlslab.numerics import PhaseUnwrapError, theta3
 from nnlslab.planewave import delta_fn
 from nnlslab.scattering import InitialProfile, SpectralTable
 
@@ -144,6 +144,8 @@ class TestSolveK0:
         monkeypatch.setattr(ew, "_k0_residual", counted)
         solve_k0(XI, A)
         assert len(calls) < 24
+        # brentq's root and the bracket ends are not evaluated again
+        assert len({c for c, *_ in calls}) == len(calls)
         monkeypatch.setattr(ew, "_k0_residual", lambda c, xi, A: 1.0 + c)
         with pytest.raises(ValueError, match="no sign change"):
             solve_k0(XI, A)
@@ -342,27 +344,48 @@ class TestGMachinery:
         with pytest.raises(ValueError):
             g_machinery(surface, SpectralTable(bg_profile))
 
-    @pytest.mark.parametrize("xi", [0.09313735206876265, 0.30, XI])
+    @pytest.mark.parametrize("xi", [0.05, 0.09313735206876265, 0.30, XI])
     def test_band_delta_converged(self, xi, verif_table, monkeypatch):
-        # the log delta remainder is C^1 at k0 once (z - k0) log(k0 - z) is
-        # subtracted too, so doubling its nodes hardly moves the constants
+        # the band densities (log delta less its singular part at k0, and
+        # the logs of r1, r2) are resolved by their node count: at 0.093 the
+        # band end alpha sits 0.03 from the branch point iA
         surf = build_surface(xi, A)
-        omega, G_inf, _ = g_machinery(surf, verif_table)
-        monkeypatch.setattr(ew, "_BAND_DELTA_NODES", 2 * ew._BAND_DELTA_NODES)
-        omega2, G_inf2, _ = g_machinery(surf, verif_table)
-        assert abs(omega2 - omega) < 2e-12
-        assert abs(G_inf2 - G_inf) < 2e-12
-
-    def test_band_logs_converged_on_small_xi(self, verif_table, monkeypatch):
-        # the band end alpha sits 0.03 from the branch point iA here, the
-        # slowest-converging band of the benchmark's seed-0 rays
-        surf = build_surface(0.09313735206876265, A)
         omega, G_inf, _ = g_machinery(surf, verif_table)
         nodes = ew._band_nodes
         monkeypatch.setattr(ew, "_band_nodes", lambda s: 2 * nodes(s))
         omega2, G_inf2, _ = g_machinery(surf, verif_table)
         assert abs(omega2 - omega) < 1e-11
         assert abs(G_inf2 - G_inf) < 1e-11
+
+    def test_band_nodes_double_on_phase_gap(self, surface, verif_table,
+                                            monkeypatch):
+        nodes = ew._band_nodes
+        unwrap = ew.continuous_log
+        calls = []
+
+        def gap_once(values):
+            calls.append(len(values))
+            if len(calls) == 1:
+                raise PhaseUnwrapError("gap")
+            return unwrap(values)
+
+        monkeypatch.setattr(ew, "continuous_log", gap_once)
+        omega, G_inf, _ = g_machinery(surface, verif_table)
+        assert calls[0] == nodes(surface) + 1
+        assert calls[1:] == [2 * nodes(surface) + 1] * 2
+        monkeypatch.setattr(ew, "continuous_log", unwrap)
+        monkeypatch.setattr(ew, "_band_nodes", lambda s: 2 * nodes(s))
+        assert g_machinery(surface, verif_table)[:2] == (omega, G_inf)
+
+        def gap(values):
+            calls.append(len(values))
+            raise PhaseUnwrapError("gap")
+
+        calls.clear()
+        monkeypatch.setattr(ew, "continuous_log", gap)
+        with pytest.raises(PhaseUnwrapError, match="did not stabilize"):
+            g_machinery(surface, verif_table)
+        assert len(calls) == 5
 
 
 class TestAbelConstants:

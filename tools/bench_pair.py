@@ -11,17 +11,18 @@ whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
 traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
 per-layer times and k-point counts, and a separate fresh process per side
-counts the work of six stages on the README config: the line table,
-``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35``,
-``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all its
-snapshots, and ``trajectory_to_csv``.  Each stage runs five times; its
+counts the work of seven stages on the README config: the line table,
+``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35`` and one
+at ``xi = 0.0931`` (the seed-0 ``ray_sweep`` ray with the most band
+nodes), ``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all
+its snapshots, and ``trajectory_to_csv``.  Each stage runs five times; its
 seconds are the median of the five.  Jost work is counted as Magnus cell
-steps times k-points; the elliptic ray also counts its ``quad_path``
-calls, the integrand calls of the adaptive quadrature and the points they
-get.  ``simulate`` counts its ``fft`` and ``ifft`` calls and the rays
-count their ``fft`` calls and the snapshots these transform, from
-``np.fft`` and ``scipy.fft`` alike, so that either side is counted the
-same way.
+steps times k-points; the elliptic rays also count the k-points of their
+``scattering_data`` calls, their ``quad_path`` calls, the integrand calls
+of the adaptive quadrature and the points they get.  ``simulate`` counts
+its ``fft`` and ``ifft`` calls and the rays count their ``fft`` calls and
+the snapshots these transform, from ``np.fft`` and ``scipy.fft`` alike,
+so that either side is counted the same way.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
@@ -70,6 +71,15 @@ def counting(profile, side, split, ks, *args):
 
 sc._propagate = counting
 
+# k-points of every scattering_data call, as perfbench counts them
+scattering_data = sc.scattering_data
+
+def counting_scattering_data(profile, k, *args, **kwargs):
+    counts["jost_kpoints"] += np.size(k)
+    return scattering_data(profile, k, *args, **kwargs)
+
+sc.scattering_data = counting_scattering_data
+
 # every quad_path call (under both names a caller may use), every integrand
 # call of the adaptive quadrature, and the points it gets
 adaptive_panels = nm._adaptive_panels
@@ -111,9 +121,14 @@ out = {}
 out["line_table"], table = stage(line_table, "magnus_cell_kpoints")
 out["validate"], _ = stage(lambda: sc.validate_assumptions(
     table, [classify_ray(max(cfg.rays), cfg.A)]), "magnus_cell_kpoints")
-out["elliptic_ray"], _ = stage(
-    lambda: ew.elliptic_data(0.35, cfg.A, table), "magnus_cell_kpoints",
-    "quad_path_calls", "integrand_calls", "integrand_points")
+# the README ray, and the seed-0 ray_sweep ray with the most band nodes
+for name, xi in (("elliptic_ray", 0.35),
+                 ("elliptic_ray_0.093", 0.09313735206876265)):
+    out[name], _ = stage(
+        lambda: ew.elliptic_data(xi, cfg.A, table), "magnus_cell_kpoints",
+        "jost_kpoints", "quad_path_calls", "integrand_calls",
+        "integrand_points")
+    out[name]["xi"] = xi
 
 # the split-step run of `nnlslab simulate` and the ray sampling, counted by
 # wrapping fft and ifft of both np.fft and scipy.fft, whichever a side calls
