@@ -357,6 +357,18 @@ class TestGMachinery:
         assert abs(omega2 - omega) < 1e-11
         assert abs(G_inf2 - G_inf) < 1e-11
 
+    def test_band_logs_converged_on_small_xi(self, verif_table, monkeypatch):
+        # the band end alpha sits 0.03 from the branch point iA here, the
+        # slowest-converging band of the benchmark's seed-0 rays
+        surf = build_surface(0.09313735206876265, A)
+        assert abs(surf.alpha - 1j * A) < 0.05
+        omega, G_inf, _ = g_machinery(surf, verif_table)
+        nodes = ew._band_nodes
+        monkeypatch.setattr(ew, "_band_nodes", lambda s: 2 * nodes(s))
+        omega2, G_inf2, _ = g_machinery(surf, verif_table)
+        assert abs(omega2 - omega) < 1e-11
+        assert abs(G_inf2 - G_inf) < 1e-11
+
     def test_band_nodes_double_on_phase_gap(self, surface, verif_table,
                                             monkeypatch):
         nodes = ew._band_nodes
