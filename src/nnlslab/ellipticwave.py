@@ -354,7 +354,7 @@ def _band_densities(spectral, surface):
     doubles, at most four times, while the phase cannot be unwrapped."""
     k0 = surface.k0
     nu = -spectral.log_rr(k0) / (2.0 * np.pi)
-    mu = spectral.line_spline(k0, 1) / (2j * np.pi)
+    mu = spectral.log_rr(k0, 1) / (2j * np.pi)
 
     def singular(z):
         return 2.0 * (1j * nu + mu * (z - k0)) * np.log(k0 - z)

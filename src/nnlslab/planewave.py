@@ -43,13 +43,6 @@ __all__ = [
 #: point, where the Gamma-pole cancellation makes the closed forms 0/0
 _SMALL_REFLECTION = 1e-14
 
-#: log_delta integrates a line-table cell in closed form when the point lies
-#: within this many cell half-widths of the cell's midpoint; beyond it the
-#: 4-point Gauss-Legendre error is below 1e-12 of the cell's share
-_NEAR_HALF_WIDTHS = 16
-_GL4_X, _GL4_W = leggauss(4)
-#: floats in each of the two point-by-node temporaries of log_delta (512 KiB)
-_CHUNK_ELEMENTS = 2**16
 #: absolute quadrature target of F_inf_split's integrals
 _F_TOL = 1e-10
 #: Chebyshev nodes of the log delta series on B
@@ -118,62 +111,36 @@ def _check_winding(spectral, k_end):
 def log_delta(ks, k_end, spectral):
     """log of the lower-half-line factorization function delta(k, k_end).
 
-    The Cauchy transform (1/2 pi i) int_{-k_tail}^{k_end} S(s)/(s - k) ds of
-    the line table's cubic spline S, taken exactly cell by cell at an array
-    of points ``ks`` off the path (product integration).  On a cell [a, b]
-    near k, the quotient (S(s) - S(k))/(s - k) is a quadratic in s and is
-    integrated in closed form, plus S(k) log((b - k)/(a - k)); the last cell
-    is cut at ``k_end``.  Far cells use 4-point Gauss-Legendre, summed as
-    one matrix product over the nodes.
+    The Cauchy transform (1/2 pi i) int_{-k_tail}^{k_end} p(s)/(s - k) ds of
+    the line pieces p at points ``ks`` off the path: on each piece [a, b],
+    cut at k_end, Gauss-Legendre on as many nodes n as p has coefficients.
+    Where its error on the pole, about rho^(-2n) with rho the Bernstein
+    ellipse of [a, b] through k, exceeds the machine epsilon, p(k) times
+    that error on ds/(s - k) is added: the rule then integrates
+    (p(s) - p(k))/(s - k) exactly (Olver, Math. Comp. 80, 2011).
     """
-    spline = spectral.line_spline
-    knots = spline.x
-    k_end = float(k_end)
-    if k_end > knots[-1] + 1e-12:
-        raise ValueError(f"log_rr table covers k <= {knots[-1]:g}")
-    m = int(np.searchsorted(knots, k_end))
-    a = knots[:m]
-    h = np.append(knots[1:m], k_end) - a
-    d3, d2, d1, d0 = spline.c[:, :m]
-    u = 0.5 * h[:, None] * (1.0 + _GL4_X)
-    nodes = (a[:, None] + u).ravel()
-    vals = ((d3[:, None] * u + d2[:, None]) * u + d1[:, None]) * u + d0[:, None]
-    wv = (0.5 * h[:, None] * _GL4_W * vals).ravel()
-    wv = np.stack([wv.real, wv.imag], axis=1)
-    mid = a + 0.5 * h
-    near_r2 = (0.5 * _NEAR_HALF_WIDTHS * h) ** 2
-
-    k = np.asarray(ks, dtype=complex)
-    flat = k.ravel()
-    on_path = (flat.imag == 0.0) & (flat.real >= knots[0]) & (flat.real <= k_end)
-    if np.any(on_path) and m:
+    k_lo, hi = spectral.line[0].domain[0], spectral.line[-1].domain[1]
+    if k_end > hi + 1e-12:
+        raise ValueError(f"log_rr table covers k <= {hi:g}")
+    k = np.asarray(ks, dtype=complex).ravel()
+    if np.any((k.imag == 0.0) & (k.real >= k_lo) & (k.real <= k_end)):
         raise QuadratureError("Cauchy kernel pole lies on the path")
-    out = np.empty(flat.size, dtype=complex)
-    step = max(1, _CHUNK_ELEMENTS // max(nodes.size, 1))
-    for lo in range(0, flat.size, step):
-        kc = flat[lo:lo + step]
-        x, y = kc.real[:, None], kc.imag[:, None]
-        # 1/(s - k) = (s - x + i y) / ((s - x)^2 + y^2) at every node s
-        dx = nodes - x
-        inv = dx * dx
-        inv += y * y
-        np.reciprocal(inv, out=inv)
-        pi, ci = np.nonzero((mid - x) ** 2 + y * y < near_r2)
-        inv.reshape(kc.size, m, 4)[pi, ci, :] = 0.0
-        im = inv @ wv
-        dx *= inv
-        re = dx @ wv
-        far = re[:, 0] + 1j * re[:, 1] + 1j * kc.imag * (im[:, 0] + 1j * im[:, 1])
-        z = kc[pi] - a[ci]
-        hc = h[ci]
-        quad = hc * (d1[ci] + d2[ci] * (0.5 * hc + z)
-                     + d3[ci] * (hc * hc / 3.0 + 0.5 * z * hc + z * z))
-        pz = ((d3[ci] * z + d2[ci]) * z + d1[ci]) * z + d0[ci]
-        near = quad + pz * np.log((hc - z) / -z)
-        out[lo:lo + step] = far + (
-            np.bincount(pi, near.real, kc.size)
-            + 1j * np.bincount(pi, near.imag, kc.size))
-    out = (out / (2j * np.pi)).reshape(k.shape)
+    out = np.zeros(k.shape, dtype=complex)
+    for p in spectral.line:
+        a, b = p.domain[0], min(p.domain[1], k_end)
+        if a >= b:
+            break
+        x, w = leggauss(p.coef.size)
+        s = a + 0.5 * (b - a) * (1.0 + x)
+        kernel = 0.5 * (b - a) * w / (s - k[:, None])
+        out += kernel @ p(s)
+        u = (2.0 * k - a - b) / (b - a)
+        rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+        near = 2 * x.size * np.log(rho) < -np.log(np.finfo(float).eps)
+        kn = k[near]
+        out[near] += p(kn) * (np.log((b - kn) / (a - kn))
+                              - kernel[near].sum(axis=1))
+    out = (out / (2j * np.pi)).reshape(np.shape(ks))
     return out if out.ndim else complex(out)
 
 
@@ -188,31 +155,31 @@ def delta_fn(k, k1, spectral):
 def chi_fn(k, k_end, spectral):
     """The regular exponent chi(k, k_end) with delta = (k-k_end)^(i nu) e^chi.
 
-    Off the path: log_delta less L log(k - k_end)/(2 pi i), L = S(k_end) for
-    the line table's spline S.  At k = k_end (the value in c1..c4) the path
-    stops at the last knot a < k_end and the rest of that cell's integral,
-    int_a^k_end (S - L)/(s - k_end) ds - L log(k_end - a), is closed-form."""
-    k = complex(k)
-    k_end = float(k_end)
-    spline = spectral.line_spline
-    m = int(np.searchsorted(spline.x, k_end))
-    if m == 0:
-        # the path lies left of the table, where log(1 + r1 r2) is 0
-        return 0j
-    L = spectral.log_rr(k_end)
+    Off the path: log_delta less L log(k - k_end)/(2 pi i), L = p(k_end) for
+    the line piece p = [a, b] that holds k_end.  At k = k_end (the value in
+    c1..c4) log_delta up to a, plus the same rule on [a, k_end] with the pole
+    subtracted, int (p - L)/(s - k_end) ds, less L log(k_end - a)."""
+    k, k_end = complex(k), float(k_end)
+    if k_end <= spectral.line[0].domain[0]:
+        return 0j  # the path lies left of the table, where log(1 + r1 r2) = 0
+    p = [p for p in spectral.line if p.domain[0] < k_end][-1]
+    a, L = p.domain[0], complex(p(k_end))
     if abs(k - k_end) >= 1e-14:
         return log_delta(k, k_end, spectral) - L * np.log(k - k_end) / (2j * np.pi)
-    a = float(spline.x[m - 1])
-    h = k_end - a
-    d3, d2, d1, _ = spline.c[:, m - 1]
-    rest = h * (d1 + 1.5 * d2 * h + 11.0 / 6.0 * d3 * h * h) - L * np.log(h)
+    x, w = leggauss(p.coef.size)
+    s = a + 0.5 * (k_end - a) * (1.0 + x)
+    rest = 0.5 * (k_end - a) * w @ ((p(s) - L) / (s - k_end)) - L * np.log(k_end - a)
     return log_delta(k_end, a, spectral) + rest / (2j * np.pi)
 
 
 def local_exponents(k1, spectral):
     """(nu, chi(k1,k1), Delta) at the stationary point."""
     _check_winding(spectral, k1)
-    L1 = spectral.log_rr(float(k1))
+    r1, r2 = spectral.reflection_at(np.array([float(k1)]))
+    w = complex(r1[0] * r2[0])
+    # log1p keeps nu accurate where |r1 r2| is below the table's error
+    L1 = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.angle(1 + w)
+    L1 += 2j * np.pi * np.round((spectral.log_rr(k1) - L1).imag / (2.0 * np.pi))
     nu = -L1 / (2.0 * np.pi)
     Delta = float(L1.imag)
     chi = chi_fn(k1, k1, spectral)

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy.interpolate import CubicSpline
 
 from .background import E_matrix, Ray, RayRegion, f_branch
@@ -42,6 +43,7 @@ __all__ = [
     "SpectralTable",
     "AssumptionReport",
     "jost_at_origin",
+    "line_series",
     "scattering_data",
     "reflection",
     "validate_assumptions",
@@ -427,14 +429,47 @@ def reflection(profile, k):
 _TAIL_TARGET = 1e-12
 #: right end of the line table and of elliptic winding checks, in units of A
 _LINE_END = -1e-4
+#: first-kind Chebyshev nodes each piece of the line table is sampled at
+_LINE_NODES = 128
+#: most a resolved piece's last quarter of coefficients may sum to
+_LINE_TOL = 1e-13
+#: most pieces of one line table, which samples (2 pieces - 1) _LINE_NODES k
+_LINE_MAX_PIECES = 10
+
+
+def line_series(fn, k_lo, k_hi):
+    """(pieces, resolution): Chebyshev series on [k_lo, k_hi] of the logs
+    ``fn`` unwraps along ascending k.  Each piece is sampled once, at
+    _LINE_NODES first-kind nodes; its tail sums its last quarter of
+    coefficients, where a resolved piece is chopped (Trefethen, ATAP, SIAM
+    2013).  The piece with the largest tail is bisected while that exceeds
+    _LINE_TOL and there are fewer than _LINE_MAX_PIECES.  Pieces are moved
+    by multiples of 2 pi i onto their left neighbour's branch; the
+    resolution is the largest tail."""
+    def piece(a, b):
+        p = Chebyshev.interpolate(fn, _LINE_NODES - 1, domain=[a, b])
+        quarter = np.abs(p.coef[-(_LINE_NODES // 4):])
+        tail = float(quarter.sum())
+        return tail, a, b, p.trim(quarter.max()) if tail <= _LINE_TOL else p
+
+    pieces = [piece(k_lo, k_hi)]
+    while len(pieces) < _LINE_MAX_PIECES and max(pieces)[0] > _LINE_TOL:
+        i = pieces.index(max(pieces))
+        _, a, b, _ = pieces.pop(i)
+        pieces[i:i] = [piece(a, 0.5 * (a + b)), piece(0.5 * (a + b), b)]
+    series = [pieces[0][3]]
+    for _, a, _, p in pieces[1:]:
+        turns = np.round((series[-1](a) - p(a)).imag / (2.0 * np.pi))
+        series.append(p + 2j * np.pi * turns)
+    return series, max(entry[0] for entry in pieces)
 
 
 class SpectralTable:
     """Cached evaluator for the spectral functions of one profile.
 
-    Provides point evaluation anywhere in the domain of definition, a spline
-    table of the unwrapped log of (1 + r1*r2) on the negative real axis
-    (anchored at the principal branch in the far tail where r1*r2 is
+    Provides point evaluation anywhere in the domain of definition, a
+    Chebyshev table of the unwrapped log of (1 + r1*r2) on the negative real
+    axis (anchored at the principal branch in the far tail where r1*r2 is
     negligible), and cut-side samples on B.
     """
 
@@ -458,64 +493,58 @@ class SpectralTable:
 
     # -- negative-axis table -----------------------------------------------
 
-    def _find_tail(self):
-        """Smallest |k| beyond which |r1*r2| stays below the tail target."""
+    def _build_line(self):
+        """(k_tail, pieces, resolution): the smallest |k| = 1.5^j max(4, 6A)
+        where |r1*r2| < _TAIL_TARGET, and the line_series of log(1 + r1*r2)
+        from there, whose first principal argument is thus already the
+        continuous-from -infinity value."""
         k = -max(4.0, 6.0 * self.A)
         for _ in range(24):
             r1, r2 = self.reflection_at(np.array([k]))
             if abs(r1[0] * r2[0]) < _TAIL_TARGET:
-                return -k
+                break
             k *= 1.5
-        return -k
-
-    def _build_line(self):
-        """The negative-axis table behind ``_line``."""
-        k_tail = self._find_tail()
-        k_hi = _LINE_END * self.A
-        k_mid = -min(max(10.0 * self.A, 10.0), 0.8 * k_tail)
-        dense = np.linspace(k_mid, k_hi, 2400)
-        n_geo = max(8, int(24 * np.log2(k_tail / -k_mid)))
-        geo = -np.geomspace(k_tail, -k_mid, n_geo, endpoint=False)
-        grid = np.concatenate([geo, dense])
-        logs = continuous_log(self.rr(grid))
-        # the anchor sits where |r1 r2| < _TAIL_TARGET, so its principal
-        # argument is already the continuous-from -infinity value
-        return {"k_tail": k_tail, "grid": grid, "log": logs,
-                "spline": CubicSpline(grid, logs)}
+        return (-k, *line_series(lambda k: continuous_log(self.rr(k)), k,
+                                 _LINE_END * self.A))
 
     @functools.cached_property
     def _line(self):
         return self._build_line()
 
-    @property
-    def k_tail(self):
-        return self._line["k_tail"]
+    #: the line pieces behind log_rr, left to right, and their resolution,
+    #: the largest tail (see line_series)
+    k_tail = property(lambda self: self._line[0])
+    line = property(lambda self: self._line[1])
+    line_resolution = property(lambda self: self._line[2])
 
-    @property
-    def line_spline(self):
-        """The CubicSpline of log(1 + r1*r2) on [-k_tail, k_hi] behind log_rr."""
-        return self._line["spline"]
-
-    def log_rr(self, k):
-        """Unwrapped log(1 + r1*r2) on the negative real axis (spline table).
+    def log_rr(self, k, deriv=0):
+        """Unwrapped log(1 + r1*r2) on the negative real axis from the line
+        pieces, or its derivative of order ``deriv``.
 
         Points left of the table are in the |r1*r2| < _TAIL_TARGET region and
         evaluate to 0, consistent with the tail truncation of the integrals.
         """
         k = np.asarray(k, dtype=float)
-        lo, hi = self._line["grid"][0], self._line["grid"][-1]
+        hi = self.line[-1].domain[1]
         if np.any(k > hi + 1e-12):
             raise ValueError(f"log_rr table covers k <= {hi:g}")
-        out = np.where(k < lo, 0.0, self._line["spline"](np.clip(k, lo, hi)))
+        which = np.searchsorted([p.domain[0] for p in self.line], k, "right")
+        out = np.zeros(k.shape, dtype=complex)
+        for j, p in enumerate(self.line, start=1):
+            out[which == j] = p.deriv(deriv)(k[which == j])
         return out if out.ndim else complex(out)
 
     def max_abs_winding(self, k_stop):
-        """Running sup of |arg-accumulation of 1 + r1*r2| up to k_stop."""
-        grid = self._line["grid"]
-        mask = grid <= k_stop + 1e-15
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.abs(self._line["log"].imag[mask])))
+        """Sup of |arg-accumulation of 1 + r1*r2| up to k_stop: the largest
+        |Im| of the line pieces at their ends and critical points."""
+        best = 0.0
+        for p in self.line:
+            a, b = p.domain[0], min(p.domain[1], k_stop)
+            if a <= b:
+                arg = Chebyshev(p.coef.imag, domain=p.domain)
+                ks = np.append(np.clip(arg.deriv().roots().real, a, b), [a, b])
+                best = max(best, float(np.abs(arg(ks)).max()))
+        return best
 
     # -- cut-side samples ----------------------------------------------------
 

@@ -1,17 +1,18 @@
+import functools
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from nnlslab.background import stationary_points, theta_phase
 from nnlslab.ellipticwave import build_surface
-from nnlslab.numerics import QuadratureError, cauchy_segment
+from nnlslab.numerics import QuadratureError
 from nnlslab.planewave import (F_fn, F_inf, F_inf_split, SubleadingCase,
                                WindingError, chi_fn, delta_fn, local_exponents,
                                log_delta, planewave_eval, planewave_params,
                                subleading_case)
+from nnlslab.scattering import line_series
 
 A, XI = 0.5, 1.2
 K1 = 0.5 * (-XI - np.sqrt(XI * XI - 2 * A * A))
@@ -28,10 +29,10 @@ class ZeroReflectionTable:
         out = np.zeros_like(k, dtype=complex)
         return out if out.ndim else complex(out)
 
-    @property
-    def line_spline(self):
-        grid = np.linspace(-self.k_tail, -1e-4, 1601)
-        return CubicSpline(grid, self.log_rr(grid))
+    @functools.cached_property
+    def line(self):
+        # the package's line table, built from the analytic log
+        return line_series(self.log_rr, -self.k_tail, -1e-4)[0]
 
     def max_abs_winding(self, k_stop):
         return 0.0
@@ -45,11 +46,12 @@ class ZeroReflectionTable:
 
 
 class SyntheticRealTable(ZeroReflectionTable):
-    """1 + r1*r2 real positive (zero accumulated argument), nontrivial size."""
+    """1 + r1*r2 real positive (zero accumulated argument), nontrivial size;
+    its poles at -1.2 +- 0.2i split the line table into four pieces."""
 
     def log_rr(self, k):
         k = np.asarray(k, dtype=float)
-        out = 0.05 * np.exp(-((k + 1.2) ** 2)) + 0j
+        out = 0.05 / (1.0 + 25.0 * (k + 1.2) ** 2) + 0j
         return out if out.ndim else complex(out)
 
     def rr(self, k):
@@ -98,6 +100,16 @@ class TestLocalExponents:
     def test_im_nu_is_minus_delta_over_2pi(self, verif_table):
         nu, chi, Delta = local_exponents(K1, verif_table)
         assert nu.imag + Delta / (2 * np.pi) == 0.0
+
+    def test_nu_relative_in_tail(self, verif_table):
+        # |r1 r2| is 7e-11 at k1 of xi = 2.8, far below the line table's
+        # absolute error, and c2, c3 are proportional to nu
+        k1 = float(stationary_points(2.8, A)[0].real)
+        r1, r2 = verif_table.reflection_at(np.array([k1]))
+        mp.mp.dps = 30
+        ref = complex(-mp.log(1 + mp.mpc(complex(r1[0] * r2[0]))) / (2 * mp.pi))
+        nu, _, _ = local_exponents(k1, verif_table)
+        assert abs(nu - ref) < 1e-13 * abs(ref)
 
     def test_winding_violation_raises(self):
         class Winding(ZeroReflectionTable):
@@ -227,63 +239,82 @@ class TestPlaneWaveEval:
             assert abs(slope - expect) < 0.02
 
 
+def _series_mp(p):
+    """The Chebyshev piece p as a function of an mpmath number (Clenshaw)."""
+    a, b = (mp.mpf(x) for x in p.domain)
+    coef = [mp.mpc(c.real, c.imag) for c in p.coef]
+
+    def value(s):
+        t = (2 * s - a - b) / (b - a)
+        b1 = b2 = 0
+        for c in reversed(coef[1:]):
+            b1, b2 = 2 * t * b1 - b2 + c, b1
+        return t * b1 - b2 + coef[0]
+
+    return value
+
+
+def _pieces_to(k_end, tab):
+    """(series, a, b) of the line pieces cut at k_end, in 30 digits."""
+    return [(_series_mp(p), mp.mpf(p.domain[0]), mp.mpf(min(p.domain[1], k_end)))
+            for p in tab.line if p.domain[0] < k_end]
+
+
 class TestLogDelta:
-    """Product integration of the line table against adaptive Cauchy
-    integrals of the same spline, and against a 30-digit evaluation of the
-    per-cell closed form for points too close to the path for the adaptive
-    route."""
+    """The Gauss-Legendre rules of log_delta against 30-digit Cauchy
+    integrals of the line table's own series."""
 
     @staticmethod
-    def adaptive(ks, k_end, tab):
-        phi = lambda z: tab.log_rr(np.real(z))
-        return np.array([cauchy_segment(phi, -tab.k_tail, k_end, complex(k),
-                                        tol=1e-13) for k in ks]) / (2j * np.pi)
-
-    @staticmethod
-    def closed_form_mp(k, k_end, tab):
+    def cauchy_mp(k, k_end, tab):
+        # within a tenth of a piece's length of it the pole is subtracted,
+        # which leaves a polynomial to integrate
         mp.mp.dps = 30
-        spline = tab.line_spline
-        x = spline.x
-        m = int(np.searchsorted(x, k_end))
         k = mp.mpc(k.real, k.imag)
         total = mp.mpc(0)
-        for i in range(m):
-            a = mp.mpf(x[i])
-            h = (mp.mpf(x[i + 1]) if i < m - 1 else mp.mpf(k_end)) - a
-            z = k - a
-            d3, d2, d1, d0 = (mp.mpc(c.real, c.imag) for c in spline.c[:, i])
-            quad = h * (d1 + d2 * (h / 2 + z) + d3 * (h * h / 3 + z * h / 2 + z * z))
-            pz = ((d3 * z + d2) * z + d1) * z + d0
-            total += quad + pz * mp.log((h - z) / -z)
+        for p, a, b in _pieces_to(k_end, tab):
+            pk = p(k) if abs(k - min(max(k.real, a), b)) < (b - a) / 10 else 0
+            total += pk * mp.log((b - k) / (a - k)) + mp.quad(
+                lambda s: (p(s) - pk) / (s - k), [a, b], method="gauss-legendre")
         return complex(total / (2j * mp.pi))
+
+    def check(self, ks, k_end, tab, tol):
+        got = log_delta(ks, k_end, tab)
+        for k, g in zip(ks, got):
+            assert abs(g - self.cauchy_mp(k, k_end, tab)) < tol
 
     def test_band_and_B_nodes(self, verif_table):
         surf = build_surface(0.35, A)
         k0, alpha = surf.k0, surf.alpha
-        ts = 0.5 * (1 + np.cos(np.pi * (2 * np.arange(48) + 1) / 96))
-        y = A * (1 - 1e-9) * np.cos(np.pi * (2 * np.arange(96) + 1) / 192)
+        ts = 0.5 * (1 + np.cos(np.pi * (2 * np.arange(48) + 1) / 96))[::16]
+        y = A * (1 - 1e-9) * np.cos(np.pi * (2 * np.arange(96) + 1) / 192)[::32]
         for ks, k_end in ((k0 + ts * (alpha - k0), k0),
                           (k0 + ts * (np.conj(alpha) - k0), k0),
                           (1j * y, k0), (1j * y, K1)):
-            got = log_delta(ks, k_end, verif_table)
-            assert np.abs(got - self.adaptive(ks, k_end, verif_table)).max() < 1e-12
+            self.check(ks, k_end, verif_table, 1e-14)
 
     def test_near_end_and_line(self, verif_table):
         k0 = build_surface(0.35, A).k0
-        for ks, k_end in (
-                (k0 + np.array([1e-3, -2e-3 + 1e-3j, 1e-3 - 1e-3j]), k0),
-                (np.array([-0.7 - 1e-3j, -2.0 + 1e-3j, -3.1 + 1e-3j,
-                           -5.5 - 1e-3j, 1e4]), K1)):
-            got = log_delta(ks, k_end, verif_table)
-            assert np.abs(got - self.adaptive(ks, k_end, verif_table)).max() < 1e-12
+        self.check(k0 + np.array([1e-3, -2e-3 + 1e-3j, 1e-3 - 1e-3j]), k0,
+                   verif_table, 1e-14)
+        self.check(np.array([-0.7 - 1e-3j, -2.0 + 1e-3j, -3.1 + 1e-3j,
+                             -5.5 - 1e-3j, 1e4]), K1, verif_table, 1e-14)
 
-    def test_closest_points_against_closed_form(self, verif_table):
+    def test_closest_points(self, verif_table):
+        # within 1e-5 of the path, where numerics.cauchy_segment is off by
+        # 4.3e-8, 6.7e-9 and 2.4e-9 (xi = 0.35 and xi = 1.2)
         k0 = build_surface(0.35, A).k0
-        for k, k_end in ((k0 - 1e-4 + 1e-6j, k0), (k0 - 1e-3 + 1e-5j, k0),
-                         (k0 + 1e-8j, k0), (-1.3 + 1e-6j, K1),
-                         (-2.0 + 1e-9j, K1)):
-            got = log_delta(k, k_end, verif_table)
-            assert abs(got - self.closed_form_mp(k, k_end, verif_table)) < 1e-13
+        self.check(np.array([k0 - 1e-4 + 1e-6j, k0 - 1e-3 + 1e-5j,
+                             k0 + 1e-8j]), k0, verif_table, 1e-13)
+        self.check(np.array([-1.3 + 1e-6j, -2.0 + 1e-9j]), K1, verif_table,
+                   1e-13)
+
+    def test_across_pieces(self):
+        # next to the edges of the four pieces and on the peak at -1.2
+        tab = SyntheticRealTable()
+        edges = [p.domain[0] for p in tab.line[1:]]
+        ks = np.array([edges[0] + 1e-6j, edges[1] - 1e-5j, edges[2] + 1e-3j,
+                       -1.2 + 1e-6j, -1.2 + 0.3j])
+        self.check(ks, -0.5, tab, 1e-13)
 
     def test_shapes_and_pole_on_path(self, verif_table):
         ks = np.array([[0.3 + 0.2j, -1.0 + 0.5j], [2.0j, -4.0 - 0.1j]])
@@ -294,65 +325,42 @@ class TestLogDelta:
             log_delta(np.array([1j, K1 - 0.5]), K1, verif_table)
 
 
-class KnotTable(ZeroReflectionTable):
-    """Complex log(1 + r1*r2) tabulated on 40 uneven knots of [-6, -0.5],
-    of the README profile's size (|log| < 0.05): log_delta's 4-point rule
-    on far cells is good to 1e-12 of each cell's share, which puts 1.1e-14
-    into chi at k_end = -1.2345 for a log six times larger."""
-
-    def __init__(self):
-        x = -6.0 + 5.5 * np.linspace(0.0, 1.0, 40) ** 1.3
-        self.spline = CubicSpline(
-            x, 0.05 * np.exp(-((x + 1.5) ** 2)) + 0.03j * np.sin(x) / (1 + x * x))
-        self.k_tail = -x[0]
-
-    @property
-    def line_spline(self):
-        return self.spline
-
-    def log_rr(self, k):
-        out = self.spline(np.asarray(k, dtype=float))
-        return out if out.ndim else complex(out)
-
-
 class TestChi:
-    """chi(k, k_end) from the product integration of log delta: its value at
-    k_end against a 30-digit quadrature of the regularized integral, and its
-    continuity there."""
+    """chi(k, k_end) from the same rules as log delta: its value at k_end
+    against a 30-digit quadrature of the regularized integral of the line
+    table's series, and its continuity there."""
 
     @staticmethod
     def chi_end_mp(k_end, tab):
-        # (int (S(s) - S(k_end))/(s - k_end) ds - S(k_end) log(k_end - k_lo))
-        # / (2 pi i), with a breakpoint at every knot
+        # (int (p(s) - L)/(s - k_end) ds - L log(k_end - k_lo)) / (2 pi i)
+        # with L = p(k_end) on the last piece
         mp.mp.dps = 30
-        spline = tab.line_spline
-        x = spline.x
-        m = int(np.searchsorted(x, k_end))
-        cells = [[mp.mpc(c.real, c.imag) for c in spline.c[:, i]]
-                 for i in range(m)]
-
-        def S(i, s):
-            u = s - mp.mpf(x[i])
-            d3, d2, d1, d0 = cells[i]
-            return ((d3 * u + d2) * u + d1) * u + d0
-
+        pieces = _pieces_to(k_end, tab)
         ke = mp.mpf(k_end)
-        L = S(m - 1, ke)
-        ends = [mp.mpf(v) for v in x[:m]] + [ke]
-        total = mp.mpc(0)
-        for i in range(m):
-            total += mp.quad(lambda s: (S(i, s) - L) / (s - ke),
-                             [ends[i], ends[i + 1]])
-        total -= L * mp.log(ke - ends[0])
+        L = pieces[-1][0](ke)
+        total = -L * mp.log(ke - pieces[0][1])
+        for p, a, b in pieces:
+            total += mp.quad(lambda s: (p(s) - L) / (s - ke), [a, b],
+                             method="gauss-legendre")
         return complex(total / (2j * mp.pi))
 
     @pytest.mark.parametrize("k_end", [-1.2345, "knot"])
     def test_end_value_against_mpmath(self, k_end):
-        tab = KnotTable()
+        # inside the third piece of the line table, or on the edge between
+        # the third and the fourth
+        tab = SyntheticRealTable()
         if k_end == "knot":
-            k_end = float(tab.spline.x[30])
+            k_end = float(tab.line[3].domain[0])
         ref = self.chi_end_mp(k_end, tab)
         assert abs(chi_fn(k_end, k_end, tab) - ref) < 1e-14 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("xi", [XI, 0.35])
+    def test_end_value_on_verif_table(self, verif_table, xi):
+        # at k1 of a plane-wave ray and at k0 of an elliptic one
+        k_end = (build_surface(xi, A).k0 if xi < np.sqrt(2) * A
+                 else float(stationary_points(xi, A)[0].real))
+        ref = self.chi_end_mp(k_end, verif_table)
+        assert abs(chi_fn(k_end, k_end, verif_table) - ref) < 1e-14 * (1 + abs(ref))
 
     def test_continuous_at_k1(self, verif_table):
         k1 = float(stationary_points(0.8, A)[0].real)

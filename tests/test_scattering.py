@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebpts1
+from numpy.polynomial.polyutils import mapdomain
 from scipy.integrate import solve_ivp
 
 from nnlslab import scattering
@@ -158,11 +160,12 @@ class TestAgainstOracle:
 class TestBatchIndependence:
     def test_line_table_batch(self, verif_table):
         # fixed cell blocks: a k-point's values do not depend on its batch
-        verif_table.k_tail  # builds the line table
-        grid = verif_table._line["grid"]
+        grid = np.concatenate([
+            mapdomain(chebpts1(scattering._LINE_NODES), [-1, 1], p.domain)
+            for p in verif_table.line])
         profile = verif_table.profile
         batch = np.array(scattering_data(profile, grid))
-        for i in range(0, grid.size, 301):
+        for i in range(0, grid.size, 25):
             alone = np.array(scattering_data(profile, grid[i]))
             assert np.abs(batch[:, i] - alone).max() < 1e-14
 
@@ -316,17 +319,66 @@ class TestReflection:
         assert abs(1e3 * r2[0]) < 10
 
 
+def _count_kpoints(monkeypatch):
+    """A list that receives the number of k-points of every
+    scattering_data call."""
+    counted = []
+    plain = scattering.scattering_data
+
+    def counting(profile, k, *args, **kwargs):
+        counted.append(np.size(k))
+        return plain(profile, k, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "scattering_data", counting)
+    return counted
+
+
 class TestSpectralTable:
     def test_log_rr_matches_direct(self, verif_table):
-        ks = np.array([-0.4, -1.3, -2.6])
+        ks = np.random.default_rng(3).uniform(-verif_table.k_tail, -0.5e-4, 64)
         direct = np.log(verif_table.rr(ks))
-        assert np.abs(verif_table.log_rr(ks) - direct).max() < 1e-9
+        assert np.abs(verif_table.log_rr(ks) - direct).max() < 1e-13
+
+    def test_line_table_kpoints(self, verif_profile, monkeypatch):
+        # the tail search and one batch of first-kind nodes
+        counted = _count_kpoints(monkeypatch)
+        table = SpectralTable(verif_profile)
+        table.k_tail
+        assert sum(counted) <= 256
+        assert table.line_resolution <= scattering._LINE_TOL
+
+    def test_box_tail_resolution(self, monkeypatch):
+        # r1 r2 oscillates with period about pi out to k_tail ~ 2600: the
+        # table either resolves it or records a resolution no smaller than
+        # its error at random points, and stays within 2 592 k-points
+        counted = _count_kpoints(monkeypatch)
+        table = SpectralTable(InitialProfile.box(0.5, -0.1, 1.0))
+        table.k_tail
+        assert sum(counted) <= 2592
+        ks = np.random.default_rng(5).uniform(
+            -table.k_tail, table.line[-1].domain[1], 200)
+        err = np.abs(table.log_rr(ks) - np.log(table.rr(ks))).max()
+        assert (table.line_resolution <= scattering._LINE_TOL
+                or err <= table.line_resolution)
+
+    def test_slope_matches_difference(self, verif_table):
+        h = 1e-4
+        k = -0.9
+        diff = (verif_table.log_rr(k + h) - verif_table.log_rr(k - h)) / (2 * h)
+        assert abs(verif_table.log_rr(k, 1) - diff) < 1e-8
 
     def test_tail_is_zero_extended(self, verif_table):
         assert verif_table.log_rr(-verif_table.k_tail * 3) == 0.0
 
     def test_winding_small_for_verif_profile(self, verif_table):
         assert verif_table.max_abs_winding(-1e-4) < 0.2
+
+    @pytest.mark.parametrize("k_stop", [-0.5 / np.sqrt(2.0), -0.5e-4, -1.0])
+    def test_winding_is_sup_of_series(self, verif_table, k_stop):
+        dense = np.linspace(-verif_table.k_tail, k_stop, 20001)
+        sup = np.abs(verif_table.log_rr(dense).imag).max()
+        got = verif_table.max_abs_winding(k_stop)
+        assert sup - 1e-15 <= got <= sup + 1e-9
 
 
 class TestValidateAssumptions:

@@ -15,11 +15,13 @@ counts the work of seven stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35`` and one
 at ``xi = 0.0931`` (the seed-0 ``ray_sweep`` ray with the most band
 nodes), ``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all
-its snapshots, and ``trajectory_to_csv``.  Each stage runs five times; its
-seconds are the median of the five.  Jost work is counted as Magnus cell
-steps times k-points; the elliptic rays also count the k-points of their
-``scattering_data`` calls, their ``quad_path`` calls, the integrand calls
-of the adaptive quadrature and the points they get.  ``simulate`` counts
+its snapshots, and ``trajectory_to_csv``.  Only counts are reported: the
+two sides' stages run in different processes at different times, so their
+seconds cannot be compared (the paired perfbench runs time them).  Jost
+work is counted as Magnus cell steps times k-points; the line table and
+the elliptic rays also count the k-points of their ``scattering_data``
+calls, and the elliptic rays their ``quad_path`` calls, the integrand
+calls of the adaptive quadrature and the points they get.  ``simulate`` counts
 its ``fft`` and ``ifft`` calls and the rays count their ``fft`` calls and
 the snapshots these transform, from ``np.fft`` and ``scipy.fft`` alike,
 so that either side is counted the same way.
@@ -45,10 +47,9 @@ SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
 TRACED = ("compare_readme", "ray_sweep")
 
 #: counts Jost, quadrature and simulator work in a fresh process; argv[1] is
-#: a source tree.  Each stage runs REPEATS times: its seconds are the median,
-#: its counts those of one run (every run does the same work)
+#: a source tree
 WORK_COUNTS = r"""
-import json, os, sys, tempfile, time
+import json, os, sys, tempfile
 from collections import Counter
 import numpy as np
 sys.path.insert(0, sys.argv[1])
@@ -57,8 +58,6 @@ import nnlslab.numerics as nm
 import nnlslab.scattering as sc
 from nnlslab.background import classify_ray
 from nnlslab.harness import RunConfig
-
-REPEATS = 5
 
 # Magnus on the sample cells: cell steps times k-points, where a side has
 # samples // 2 sample cells, each cut into `split` parts
@@ -100,15 +99,10 @@ nm._adaptive_panels = counting_panels
 nm.quad_path = ew.quad_path = counting_quad_path
 
 def stage(work, *keys):
-    # median seconds of REPEATS runs of work(), the counts `keys` of the
-    # last run, and its result
-    times = []
-    for _ in range(REPEATS):
-        counts.clear()
-        t0 = time.perf_counter()
-        result = work()
-        times.append(time.perf_counter() - t0)
-    return {"s": float(np.median(times)), **{k: counts[k] for k in keys}}, result
+    # the counts `keys` of one run of work(), and its result
+    counts.clear()
+    result = work()
+    return {k: counts[k] for k in keys}, result
 
 cfg = RunConfig.from_json(sys.argv[2])
 
@@ -118,7 +112,8 @@ def line_table():
     return table
 
 out = {}
-out["line_table"], table = stage(line_table, "magnus_cell_kpoints")
+out["line_table"], table = stage(line_table, "magnus_cell_kpoints",
+                                 "jost_kpoints")
 out["validate"], _ = stage(lambda: sc.validate_assumptions(
     table, [classify_ray(max(cfg.rays), cfg.A)]), "magnus_cell_kpoints")
 # the README ray, and the seed-0 ray_sweep ray with the most band nodes
