@@ -14,6 +14,7 @@ otherwise.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,6 +48,10 @@ _SMALL_REFLECTION = 1e-14
 _F_TOL = 1e-10
 #: Chebyshev nodes of the log delta series on B
 _B_NODES = 96
+
+
+#: Gauss-Legendre nodes and weights on [-1, 1] by count (shared, read only)
+_gauss_legendre = functools.lru_cache(maxsize=None)(leggauss)
 
 
 class WindingError(RuntimeError):
@@ -111,13 +116,12 @@ def _check_winding(spectral, k_end):
 def log_delta(ks, k_end, spectral):
     """log of the lower-half-line factorization function delta(k, k_end).
 
-    The Cauchy transform (1/2 pi i) int_{-k_tail}^{k_end} p(s)/(s - k) ds of
-    the line pieces p at points ``ks`` off the path: on each piece [a, b],
-    cut at k_end, Gauss-Legendre on as many nodes n as p has coefficients.
-    Where its error on the pole, about rho^(-2n) with rho the Bernstein
-    ellipse of [a, b] through k, exceeds the machine epsilon, p(k) times
-    that error on ds/(s - k) is added: the rule then integrates
-    (p(s) - p(k))/(s - k) exactly (Olver, Math. Comp. 80, 2011).
+    (1/2 pi i) int_{-k_tail}^{k_end} p(s)/(s - k) ds over the line pieces p
+    at points ``ks`` off the path, by Gauss-Legendre on as many nodes n as p
+    has coefficients.  Where the rule's error on the pole, about rho^(-2n)
+    for the Bernstein ellipse rho of the piece through k, exceeds machine
+    epsilon, p(k) times that error on ds/(s - k) is added: the rule then
+    integrates (p(s) - p(k))/(s - k) exactly (Olver, Math. Comp. 80, 2011).
     """
     k_lo, hi = spectral.line[0].domain[0], spectral.line[-1].domain[1]
     if k_end > hi + 1e-12:
@@ -130,7 +134,7 @@ def log_delta(ks, k_end, spectral):
         a, b = p.domain[0], min(p.domain[1], k_end)
         if a >= b:
             break
-        x, w = leggauss(p.coef.size)
+        x, w = _gauss_legendre(p.coef.size)
         s = a + 0.5 * (b - a) * (1.0 + x)
         kernel = 0.5 * (b - a) * w / (s - k[:, None])
         out += kernel @ p(s)
@@ -155,10 +159,9 @@ def delta_fn(k, k1, spectral):
 def chi_fn(k, k_end, spectral):
     """The regular exponent chi(k, k_end) with delta = (k-k_end)^(i nu) e^chi.
 
-    Off the path: log_delta less L log(k - k_end)/(2 pi i), L = p(k_end) for
-    the line piece p = [a, b] that holds k_end.  At k = k_end (the value in
-    c1..c4) log_delta up to a, plus the same rule on [a, k_end] with the pole
-    subtracted, int (p - L)/(s - k_end) ds, less L log(k_end - a)."""
+    Off the path: log_delta less L log(k - k_end)/(2 pi i), L = p(k_end) on
+    the line piece p = [a, b] that holds k_end.  At k = k_end (in c1..c4):
+    log_delta up to a, plus the rule on (p - L)/(s - k_end), less L log(k_end - a)."""
     k, k_end = complex(k), float(k_end)
     if k_end <= spectral.line[0].domain[0]:
         return 0j  # the path lies left of the table, where log(1 + r1 r2) = 0
@@ -166,24 +169,25 @@ def chi_fn(k, k_end, spectral):
     a, L = p.domain[0], complex(p(k_end))
     if abs(k - k_end) >= 1e-14:
         return log_delta(k, k_end, spectral) - L * np.log(k - k_end) / (2j * np.pi)
-    x, w = leggauss(p.coef.size)
+    x, w = _gauss_legendre(p.coef.size)
     s = a + 0.5 * (k_end - a) * (1.0 + x)
     rest = 0.5 * (k_end - a) * w @ ((p(s) - L) / (s - k_end)) - L * np.log(k_end - a)
     return log_delta(k_end, a, spectral) + rest / (2j * np.pi)
 
 
-def local_exponents(k1, spectral):
-    """(nu, chi(k1,k1), Delta) at the stationary point."""
+def _exponents(k1, w, spectral):
+    """(nu, chi(k1,k1), Delta) at the stationary point, w = r1 r2 there."""
     _check_winding(spectral, k1)
-    r1, r2 = spectral.reflection_at(np.array([float(k1)]))
-    w = complex(r1[0] * r2[0])
     # log1p keeps nu accurate where |r1 r2| is below the table's error
     L1 = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.angle(1 + w)
     L1 += 2j * np.pi * np.round((spectral.log_rr(k1) - L1).imag / (2.0 * np.pi))
-    nu = -L1 / (2.0 * np.pi)
-    Delta = float(L1.imag)
-    chi = chi_fn(k1, k1, spectral)
-    return nu, chi, Delta
+    return -L1 / (2.0 * np.pi), chi_fn(k1, k1, spectral), float(L1.imag)
+
+
+def local_exponents(k1, spectral):
+    """(nu, chi(k1,k1), Delta) at the stationary point."""
+    r1, r2 = spectral.reflection_at(np.array([float(k1)]))
+    return _exponents(float(k1), complex(r1[0] * r2[0]), spectral)
 
 
 def _lndelta_on_B(k1, spectral):
@@ -243,7 +247,8 @@ def planewave_params(xi, spectral):
     if not xi > np.sqrt(2.0) * A:
         raise ValueError("plane-wave rays require xi > sqrt(2) A")
     k1 = float(stationary_points(xi, A)[0].real)
-    nu, chi, Delta = local_exponents(k1, spectral)
+    r1k1, r2k1 = (complex(r[0]) for r in spectral.reflection_at(np.array([k1])))
+    nu, chi, Delta = _exponents(k1, r1k1 * r2k1, spectral)
     c = _lndelta_on_B(k1, spectral).coef
     Finf = -1j * c[0]
     Fk1 = _exp_series(c, k1, A)
@@ -254,9 +259,6 @@ def planewave_params(xi, spectral):
     beta1 = 0.5 / np.sqrt(theta2)
     log_term = np.log(2.0 * np.sqrt(theta2))
 
-    r1k1, r2k1 = spectral.reflection_at(np.array([k1]))
-    r1k1 = complex(r1k1[0])
-    r2k1 = complex(r2k1[0])
     if abs(r1k1 * r2k1) < _SMALL_REFLECTION:
         c1 = c2 = c3 = c4 = 0.0j
     else:

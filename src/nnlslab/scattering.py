@@ -439,13 +439,13 @@ _LINE_MAX_PIECES = 10
 
 def line_series(fn, k_lo, k_hi):
     """(pieces, resolution): Chebyshev series on [k_lo, k_hi] of the logs
-    ``fn`` unwraps along ascending k.  Each piece is sampled once, at
+    ``fn`` unwraps along ascending k.  A piece is sampled once, at
     _LINE_NODES first-kind nodes; its tail sums its last quarter of
-    coefficients, where a resolved piece is chopped (Trefethen, ATAP, SIAM
+    coefficients, where it is chopped if resolved (Trefethen, ATAP, SIAM
     2013).  The piece with the largest tail is bisected while that exceeds
-    _LINE_TOL and there are fewer than _LINE_MAX_PIECES.  Pieces are moved
-    by multiples of 2 pi i onto their left neighbour's branch; the
-    resolution is the largest tail."""
+    _LINE_TOL, up to _LINE_MAX_PIECES.  Pieces are moved by multiples of
+    2 pi i onto their left neighbour's branch; the resolution is the
+    largest tail."""
     def piece(a, b):
         p = Chebyshev.interpolate(fn, _LINE_NODES - 1, domain=[a, b])
         quarter = np.abs(p.coef[-(_LINE_NODES // 4):])
@@ -494,10 +494,9 @@ class SpectralTable:
     # -- negative-axis table -----------------------------------------------
 
     def _build_line(self):
-        """(k_tail, pieces, resolution): the smallest |k| = 1.5^j max(4, 6A)
-        where |r1*r2| < _TAIL_TARGET, and the line_series of log(1 + r1*r2)
-        from there, whose first principal argument is thus already the
-        continuous-from -infinity value."""
+        """(k_tail, pieces, resolution): the first |k| = 1.5^j max(4, 6A) with
+        |r1*r2| < _TAIL_TARGET, where the principal argument is already the
+        continuous-from -infinity one, and the line_series of log(1 + r1*r2)."""
         k = -max(4.0, 6.0 * self.A)
         for _ in range(24):
             r1, r2 = self.reflection_at(np.array([k]))
@@ -511,8 +510,7 @@ class SpectralTable:
     def _line(self):
         return self._build_line()
 
-    #: the line pieces behind log_rr, left to right, and their resolution,
-    #: the largest tail (see line_series)
+    #: k_tail, the line pieces behind log_rr and their resolution (line_series)
     k_tail = property(lambda self: self._line[0])
     line = property(lambda self: self._line[1])
     line_resolution = property(lambda self: self._line[2])
@@ -534,17 +532,19 @@ class SpectralTable:
             out[which == j] = p.deriv(deriv)(k[which == j])
         return out if out.ndim else complex(out)
 
+    @functools.cached_property
+    def _arg_extrema(self):
+        """Ends of the line pieces and critical points of Im log_rr on them."""
+        return np.concatenate([np.append(np.clip(Chebyshev(
+            p.coef.imag, domain=p.domain).deriv().roots().real, *p.domain),
+            p.domain) for p in self.line])
+
     def max_abs_winding(self, k_stop):
         """Sup of |arg-accumulation of 1 + r1*r2| up to k_stop: the largest
-        |Im| of the line pieces at their ends and critical points."""
-        best = 0.0
-        for p in self.line:
-            a, b = p.domain[0], min(p.domain[1], k_stop)
-            if a <= b:
-                arg = Chebyshev(p.coef.imag, domain=p.domain)
-                ks = np.append(np.clip(arg.deriv().roots().real, a, b), [a, b])
-                best = max(best, float(np.abs(arg(ks)).max()))
-        return best
+        |Im log_rr| at k_stop and at the extrema left of it (no Jost call)."""
+        k_stop = min(k_stop, self.line[-1].domain[1])
+        ks = np.append(self._arg_extrema[self._arg_extrema <= k_stop], k_stop)
+        return float(np.abs(self.log_rr(ks).imag).max())
 
     # -- cut-side samples ----------------------------------------------------
 
