@@ -19,7 +19,7 @@ from .background import RayRegion, classify_ray
 from .ellipticwave import elliptic_data, elliptic_eval
 from .planewave import planewave_eval, planewave_params
 from .scattering import InitialProfile, SpectralTable, validate_assumptions
-from .simulator import SimGrid, sample_ray, simulate
+from .simulator import SimGrid, mi_time_cap, sample_ray, simulate
 
 __all__ = ["RunConfig", "RayResult", "ComparisonReport", "run", "emit_report"]
 
@@ -161,11 +161,12 @@ def run(config):
     A = config.A
     spectral = SpectralTable(config.profile)
     grid = config.sim_grid(max(config.t_list))
-    traj = simulate(config.profile, grid)
+    traj = simulate(config.profile, grid, config.t_list)
+    late = [t for t in config.t_list if t > traj.ts[-1]]
     rays = [classify_ray(xi, A) for xi in config.rays]
     try:
         reports = validate_assumptions(spectral, rays)
-    except Exception as exc:  # noqa: BLE001 - skips every ray
+    except (ValueError, RuntimeError) as exc:  # skips every ray
         reports = [exc] * len(rays)
 
     assumptions = {}
@@ -184,16 +185,20 @@ def run(config):
             if not rep.winding_ok:
                 raise RuntimeError("winding assumption violated")
 
-            samples = sample_ray(traj, abs(xi), config.t_list)
+            if late:
+                raise ValueError(f"time {late[0]:g} is outside the trajectory,"
+                                 f" whose last snapshot is at t={traj.ts[-1]:g}")
+            q_sim = {t: (qp, qm) for t, qp, qm in sample_ray(traj, abs(xi))}
             result.constants, q_asym = _ray_asymptotics(ray, A, spectral)
-            for t, (_, sim_p, sim_m) in zip(config.t_list, samples):
+            for t in config.t_list:
+                sim_p, sim_m = q_sim[t]
                 q_p, q_m = q_asym(t)
                 result.rows += [(t, abs(sim_p), abs(q_p)),
                                 (t, abs(sim_m), abs(q_m))]
             result.decay_exponent, result.decay_r2 = _fit_decay(
                 [t for (t, _, _) in result.rows],
                 [abs(s - a) for (_, s, a) in result.rows])
-        except Exception as exc:  # noqa: BLE001 - per-ray isolation
+        except (ValueError, RuntimeError) as exc:  # per-ray isolation
             result.skipped = True
             result.reason = f"{type(exc).__name__}: {exc}"
         ray_results.append(result)
@@ -205,6 +210,8 @@ def run(config):
         "grid": {"L_box": grid.L_box, "N": grid.N, "dt": grid.dt,
                  "t_max": grid.t_max},
         "noise_floor": traj.noise_floor_estimate,
+        "mi_time_cap": mi_time_cap(A),
+        "capped": traj.capped,
     }
     return ComparisonReport(config_summary=summary, assumptions=assumptions,
                             rays=ray_results)

@@ -495,12 +495,15 @@ class SpectralTable:
 
     def _build_line(self):
         """(k_tail, pieces, resolution): the first |k| = 1.5^j max(4, 6A) with
-        |r1*r2| < _TAIL_TARGET, where the principal argument is already the
-        continuous-from -infinity one, and the line_series of log(1 + r1*r2)."""
+        |r1*r2| < _TAIL_TARGET at 8 points of [k - pi/(2L), k], one period
+        of exp(4ikL), the fastest oscillation of r1*r2 for a profile on
+        [-L, L]; there the principal argument is already the continuous-from
+        -infinity one.  Then the line_series of log(1 + r1*r2)."""
         k = -max(4.0, 6.0 * self.A)
+        period = np.linspace(-np.pi / (2.0 * self.profile.support_L), 0.0, 8)
         for _ in range(24):
-            r1, r2 = self.reflection_at(np.array([k]))
-            if abs(r1[0] * r2[0]) < _TAIL_TARGET:
+            r1, r2 = self.reflection_at(k + period)
+            if np.abs(r1 * r2).max() < _TAIL_TARGET:
                 break
             k *= 1.5
         return (-k, *line_series(lambda k: continuous_log(self.rr(k)), k,

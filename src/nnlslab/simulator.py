@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -116,10 +116,6 @@ class FieldTrajectory:
         if len(self.ts) < 2 or np.any(np.diff(self.ts) <= 0):
             raise ValueError("need >= 2 snapshots at strictly increasing t")
 
-    @property
-    def snapshots(self):
-        return list(zip(self.ts, self.fields))
-
 
 def _mirror_index(N):
     return (-np.arange(N)) % N
@@ -142,78 +138,72 @@ def nonlinear_substep(p, dt, A, mirror=None):
     return np.multiply(p, w, out=w)
 
 
-def simulate(profile, grid, snapshot_dt=None):
-    """Strang-split evolution, steps of at most grid.dt; returns q snapshots.
-
-    Raises BlowUpError once a snapshot is non-finite or exceeds the guard."""
+def simulate(profile, grid, times=None):
+    """Strang-split evolution in steps of at most grid.dt, each interval
+    between snapshots cut into equal steps; returns the q snapshots at 0 and
+    at ``times`` (default: 400 evenly spaced, or one per grid.dt on a short
+    run).  Times past the end min(grid.t_max, mi_time_cap(A)) give one
+    snapshot at that end.  Raises BlowUpError once the field is non-finite
+    or exceeds the guard, which looks at every snapshot and at least every
+    1/400 of the run."""
     A = profile.A
     if grid.L_box < 2.0 * profile.support_L:
         raise ValueError("box must cover twice the profile support")
-    t_cap = mi_time_cap(A)
-    capped = grid.t_max > t_cap
-    t_end = min(grid.t_max, t_cap)
-    if snapshot_dt is None:
-        snapshot_dt = max(t_end / 400.0, grid.dt)
-    nsub = max(1, int(np.ceil(snapshot_dt / (grid.dt * (1.0 + 1e-12)))))
-    dt = snapshot_dt / nsub
-    nsnap = int(round(t_end / snapshot_dt))
+    t_end = min(grid.t_max, mi_time_cap(A))
+    spacing = max(t_end / 400.0, grid.dt)
+    if times is None:
+        times = np.cumsum(np.full(int(round(t_end / spacing)), spacing))
+    if not min(times) > 0:
+        raise ValueError("times must be positive")
+    ts = np.array([0.0, *np.unique(np.minimum(times, t_end))])
+    nguard = max(1, int(spacing / grid.dt))
 
     x = grid.x
     mirror = _mirror_index(grid.N)
-    kappa = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
-    half = np.exp(-1j * kappa * kappa * (dt / 2.0))
-    full = np.exp(-1j * kappa * kappa * dt)
-
-    ts = np.empty(nsnap + 1)
-    fields = np.empty((nsnap + 1, grid.N), dtype=complex)
+    kappa2 = (2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)) ** 2
+    # (half, full) linear steps by step length, reused across even intervals
+    steps = {}
+    fields = np.empty((len(ts), grid.N), dtype=complex)
     fields[0] = profile.q0(x)
-    ts[0] = t = 0.0
     # ph is the spectrum after the last linear step: each interval opens
     # with a half-step, fuses the steps between nonlinear substeps into
     # full steps and closes with a half-step before the snapshot
     ph = scipy.fft.fft(fields[0])
     # a field that overflows inside an interval is caught by the guard
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nsnap + 1):
+        for n in range(1, len(ts)):
+            h = ts[n] - ts[n - 1]
+            nsub = max(1, int(np.ceil(h / (grid.dt * (1.0 + 1e-12)))))
+            dt = h / nsub
+            if dt not in steps:
+                steps[dt] = (np.exp(-1j * kappa2 * (dt / 2.0)),
+                             np.exp(-1j * kappa2 * dt))
+            half, full = steps[dt]
             ph *= half
-            for j in range(nsub):
-                if j:
+            for j in range(1, nsub + 1):
+                if j > 1:
                     ph *= full
                 p = nonlinear_substep(scipy.fft.ifft(ph), dt, A, mirror)
+                # written so that NaN fails the guard too
+                if ((j == nsub or j % nguard == 0)
+                        and not np.max(np.abs(p)) <= _BLOWUP_FACTOR * A):
+                    raise BlowUpError(
+                        f"field non-finite or above {_BLOWUP_FACTOR:.0e} * A "
+                        f"at t={ts[n - 1] + j * dt:.3f}")
                 ph = scipy.fft.fft(p, overwrite_x=True)
             ph *= half
-            p = scipy.fft.ifft(ph)
-            t += snapshot_dt
-            # written so that NaN fails the guard too
-            if not np.max(np.abs(p)) <= _BLOWUP_FACTOR * A:
-                raise BlowUpError(f"field non-finite or above {_BLOWUP_FACTOR:.0e}"
-                                  f" * A at t={t:.3f}")
-            ts[n] = t
-            fields[n] = p
+            fields[n] = scipy.fft.ifft(ph)
     # restore the gauge q = p * exp(2i A^2 t)
     fields *= np.exp(2j * A * A * ts)[:, None]
-    noise = float(np.finfo(float).eps * np.exp(2.0 * A * A * t_end))
+    noise = float(np.finfo(float).eps * np.exp(2.0 * A * A * ts[-1]))
     return FieldTrajectory(ts=ts, fields=fields, x=x, A=A, L_box=grid.L_box,
-                           noise_floor_estimate=noise, capped=capped)
+                           noise_floor_estimate=noise,
+                           capped=grid.t_max > t_end)
 
 
-def _nearest_snapshots(ts, times):
-    """Index of the snapshot nearest each time; a time more than half a
-    snapshot interval outside the trajectory raises ValueError."""
-    lo = ts[0] - (ts[1] - ts[0]) / 2.0
-    hi = ts[-1] + (ts[-1] - ts[-2]) / 2.0
-    idx = []
-    for t in times:
-        if not lo <= t <= hi:
-            raise ValueError(f"time {t:g} is outside the trajectory, whose "
-                             f"last snapshot is at t={ts[-1]:g}")
-        idx.append(int(np.argmin(np.abs(ts - t))))
-    return np.array(idx, dtype=int)
-
-
-def sample_ray(traj, xi, times=None):
-    """[(t, q(4 xi t, t), q(-4 xi t, t)) ...] by band-limited interpolation,
-    on every snapshot, or on the snapshot nearest each of ``times``.
+def sample_ray(traj, xi):
+    """[(t, q(4 xi t, t), q(-4 xi t, t)) ...] on every snapshot, by
+    band-limited interpolation.
 
     The interpolant sum_m c_m exp(i m theta), theta = pi (x + L) / L, over
     the modes -N/2 <= m < N/2 is evaluated with the shifted spectrum as a
@@ -223,12 +213,10 @@ def sample_ray(traj, xi, times=None):
     in blocks of _SAMPLE_BLOCK, and a sample does not depend on which other
     snapshots share its block."""
     ts = traj.ts
-    idx = (np.arange(len(ts)) if times is None
-           else _nearest_snapshots(ts, times))
     N = traj.fields.shape[1]
     L = traj.L_box
-    xr = 4.0 * xi * ts[idx]
-    for t, x in zip(ts[idx], xr):
+    xr = 4.0 * xi * ts
+    for t, x in zip(ts, xr):
         if abs(x) > L - 2.0 * L / N:
             raise ValueError(f"ray exits the box at t={t:g} (x={x:g})")
     cols = math.gcd(N, _SAMPLE_COLS)
@@ -236,10 +224,10 @@ def sample_ray(traj, xi, times=None):
     theta = np.pi * (np.stack((xr, -xr), axis=1) + L) / L
     lo_m = np.arange(cols, dtype=float)[:, None]
     hi_m = (cols * np.arange(rows) - N // 2).astype(float)[:, None]
-    vals = np.empty((len(idx), 2), dtype=complex)
-    for s in range(0, len(idx), _SAMPLE_BLOCK):
+    vals = np.empty((len(ts), 2), dtype=complex)
+    for s in range(0, len(ts), _SAMPLE_BLOCK):
         blk = slice(s, s + _SAMPLE_BLOCK)
-        spec = scipy.fft.fft(traj.fields[idx[blk]], axis=1, overwrite_x=True)
+        spec = scipy.fft.fft(traj.fields[blk], axis=1)
         C = scipy.fft.fftshift(spec, axes=1).reshape(-1, rows, cols)
         th = theta[blk, None, :]
         lo = np.exp(1j * (lo_m * th))
@@ -249,7 +237,7 @@ def sample_ray(traj, xi, times=None):
                                 axis1=1, axis2=2)
     vals /= N
     return [(float(t), complex(qp), complex(qm))
-            for t, (qp, qm) in zip(ts[idx], vals)]
+            for t, (qp, qm) in zip(ts, vals)]
 
 
 def reference_ifrk4(profile, grid, t_end, dt):

@@ -32,7 +32,7 @@ def _report(num, ok, text):
 @pytest.fixture(scope="module")
 def pw_ray(verif_profile):
     grid = SimGrid(L_box=160.0, N=8192, dt=0.0019, t_max=30.0)
-    traj = simulate(verif_profile, grid, snapshot_dt=0.25)
+    traj = simulate(verif_profile, grid, 0.25 * np.arange(1, 121))
     rows = sample_ray(traj, XI_PW)
     ts = np.array([r[0] for r in rows])
     qp = np.array([r[1] for r in rows])
@@ -43,7 +43,7 @@ def pw_ray(verif_profile):
 @pytest.fixture(scope="module")
 def ell_ray(verif_profile):
     grid = SimGrid(L_box=64.0, N=2048, dt=0.004, t_max=30.0)
-    traj = simulate(verif_profile, grid, snapshot_dt=0.05)
+    traj = simulate(verif_profile, grid, 0.05 * np.arange(1, 601))
     rows = sample_ray(traj, XI_ELL)
     ts = np.array([r[0] for r in rows])
     qp = np.array([r[1] for r in rows])
@@ -229,7 +229,7 @@ def test_criterion_9_simulator_validation(verif_profile):
 
     def final(dt):
         g = SimGrid(L_box=32.0, N=1024, dt=dt, t_max=1.0)
-        return simulate(verif_profile, g, snapshot_dt=1.0).fields[-1]
+        return simulate(verif_profile, g, [1.0]).fields[-1]
 
     ref = final(0.000375)
     ratio = (np.abs(final(0.003) - ref).max()

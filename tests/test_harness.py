@@ -109,6 +109,20 @@ class TestRun:
         assert not by_xi[1.2].skipped
 
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only domain errors (ValueError, RuntimeError) skip a ray
+        import nnlslab.harness as harness
+
+        def broken(xi, spectral):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(harness, "planewave_params", broken)
+        cfg = dict(CFG, rays=[1.2], t_list=[1.0],
+                   grid={"L_box": 20.0, "N": 512, "dt": 0.002, "t_max": 1.0})
+        with pytest.raises(TypeError, match="not a domain error"):
+            run(RunConfig.from_json(json.dumps(cfg)))
+
+
 class TestEmitReport:
     def test_deterministic_bytes(self, report, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -333,6 +333,16 @@ def _count_kpoints(monkeypatch):
     return counted
 
 
+@pytest.fixture(scope="module")
+def box_table():
+    """The box profile's line table and the k-points its construction took."""
+    with pytest.MonkeyPatch.context() as mp:
+        counted = _count_kpoints(mp)
+        table = SpectralTable(InitialProfile.box(0.5, -0.1, 1.0))
+        table.k_tail
+    return table, sum(counted)
+
+
 class TestSpectralTable:
     def test_log_rr_matches_direct(self, verif_table):
         ks = np.random.default_rng(3).uniform(-verif_table.k_tail, -0.5e-4, 64)
@@ -347,19 +357,25 @@ class TestSpectralTable:
         assert sum(counted) <= 256
         assert table.line_resolution <= scattering._LINE_TOL
 
-    def test_box_tail_resolution(self, monkeypatch):
-        # r1 r2 oscillates with period about pi out to k_tail ~ 2600: the
+    def test_box_tail_resolution(self, box_table):
+        # r1 r2 oscillates with period about pi out to k_tail ~ 3900: the
         # table either resolves it or records a resolution no smaller than
         # its error at random points, and stays within 2 592 k-points
-        counted = _count_kpoints(monkeypatch)
-        table = SpectralTable(InitialProfile.box(0.5, -0.1, 1.0))
-        table.k_tail
-        assert sum(counted) <= 2592
+        table, kpoints = box_table
+        assert kpoints <= 2592
         ks = np.random.default_rng(5).uniform(
             -table.k_tail, table.line[-1].domain[1], 200)
         err = np.abs(table.log_rr(ks) - np.log(table.rr(ks))).max()
         assert (table.line_resolution <= scattering._LINE_TOL
                 or err <= table.line_resolution)
+
+    def test_box_tail_below_target_over_a_period(self, box_table):
+        # a probe at a near-zero of the oscillating r1 r2 (k = -2627.4, where
+        # it peaks at 2.5e-12 within 2 to the left) does not end the table
+        table, _ = box_table
+        ks = np.linspace(-table.k_tail - 2.0, -table.k_tail, 41)
+        r1, r2 = table.reflection_at(ks)
+        assert np.abs(r1 * r2).max() < scattering._TAIL_TARGET
 
     def test_slope_matches_difference(self, verif_table):
         h = 1e-4

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def _bandlimited_eval(field, L_box, xs):
 @pytest.fixture(scope="module")
 def small_traj(verif_profile):
     grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=2.0)
-    return simulate(verif_profile, grid, snapshot_dt=0.25)
+    return simulate(verif_profile, grid, 0.25 * np.arange(1, 9))
 
 
 class TestSimGrid:
@@ -116,7 +117,7 @@ class TestSimulate:
     def test_strang_order(self, verif_profile):
         def final(dt):
             g = SimGrid(L_box=32.0, N=1024, dt=dt, t_max=1.0)
-            return simulate(verif_profile, g, snapshot_dt=1.0).fields[-1]
+            return simulate(verif_profile, g, [1.0]).fields[-1]
 
         ref = final(0.000375)
         e1 = np.abs(final(0.003) - ref).max()
@@ -126,13 +127,13 @@ class TestSimulate:
     def test_gauge_consistency(self, verif_profile):
         grid = SimGrid(L_box=32.0, N=1024, dt=0.001, t_max=1.0)
         q_ref = reference_ifrk4(verif_profile, grid, 1.0, 0.0002)
-        traj = simulate(verif_profile, grid, snapshot_dt=1.0)
+        traj = simulate(verif_profile, grid, [1.0])
         assert np.abs(traj.fields[-1] - q_ref).max() < 1e-6
 
     def test_fused_matches_unfused_steps(self, verif_profile):
         # two FFT pairs per Strang step, half-steps not fused
         grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=1.0)
-        traj = simulate(verif_profile, grid, snapshot_dt=0.25)
+        traj = simulate(verif_profile, grid, 0.25 * np.arange(1, 5))
         nsub, dt, A = 125, 0.002, verif_profile.A
         kappa = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
         half = np.exp(-1j * kappa * kappa * (dt / 2.0))
@@ -153,7 +154,7 @@ class TestSimulate:
                 return _f(a, *args, **kw)
             monkeypatch.setattr(scipy.fft, name, counting)
         grid = SimGrid(L_box=20.0, N=512, dt=0.002, t_max=0.5)
-        traj = simulate(verif_profile, grid, snapshot_dt=0.05)
+        traj = simulate(verif_profile, grid, 0.05 * np.arange(1, 11))
         nsnap, nsub = len(traj.ts) - 1, 25
         assert counts == {"fft": nsnap * nsub + 1, "ifft": nsnap * (nsub + 1)}
 
@@ -161,19 +162,20 @@ class TestSimulate:
         prof = InitialProfile.gaussian_bump(**BLOWUP)
         grid = SimGrid(L_box=32.0, N=512, dt=0.004, t_max=8.0)
         with pytest.raises(BlowUpError, match="non-finite"):
-            simulate(prof, grid, snapshot_dt=0.05)
+            simulate(prof, grid)
 
     def test_noise_guard_caps_time(self, verif_profile):
         cap = mi_time_cap(verif_profile.A)
         grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=2 * cap)
-        traj = simulate(verif_profile, grid, snapshot_dt=cap / 4)
+        # the times past the cap give one snapshot at the cap
+        traj = simulate(verif_profile, grid, [cap / 2, 1.5 * cap, 2 * cap])
         assert traj.capped
-        assert traj.ts[-1] <= cap + 1e-9
+        assert list(traj.ts) == [0.0, cap / 2, cap]
         assert traj.noise_floor_estimate < 1e-8 * 1.01
 
     def test_nyquist_resolution(self, small_traj, verif_profile):
         A = verif_profile.A
-        for t, field in small_traj.snapshots:
+        for t, field in zip(small_traj.ts, small_traj.fields):
             p = field * np.exp(-2j * A * A * t)
             spec = np.abs(np.fft.fft(p - A)) / field.size
             n = field.size
@@ -189,37 +191,29 @@ class TestSampleRay:
     def test_constant_background(self):
         prof = InitialProfile.pure_background(0.5, L=2.0)
         traj = simulate(prof, SimGrid(L_box=30.0, N=512, dt=0.005, t_max=4.0),
-                        snapshot_dt=0.5)
+                        0.5 * np.arange(1, 9))
         rows = sample_ray(traj, 0.8)
         assert max(abs(abs(qp) - 0.5) for _, qp, _ in rows) < 1e-10
 
     def test_grid_refinement_agreement(self, verif_profile):
         g1 = SimGrid(L_box=30.0, N=1024, dt=0.001, t_max=2.0)
         g2 = SimGrid(L_box=30.0, N=2048, dt=0.001, t_max=2.0)
-        r1 = sample_ray(simulate(verif_profile, g1, snapshot_dt=0.5), 0.4)
-        r2 = sample_ray(simulate(verif_profile, g2, snapshot_dt=0.5), 0.4)
+        r1 = sample_ray(simulate(verif_profile, g1, [0.5, 1.0, 1.5, 2.0]), 0.4)
+        r2 = sample_ray(simulate(verif_profile, g2, [0.5, 1.0, 1.5, 2.0]), 0.4)
         assert max(abs(a[1] - b[1]) for a, b in zip(r1, r2)) < 1e-8
 
     def test_ray_exits_box(self, small_traj):
         with pytest.raises(ValueError):
             sample_ray(small_traj, 10.0)
 
-    def test_times_pick_nearest_snapshots(self, small_traj):
-        rows = sample_ray(small_traj, 0.4)
-        picked = sample_ray(small_traj, 0.4, [1.1, 0.3, 2.0])
-        assert picked == [rows[4], rows[1], rows[8]]
-
     @staticmethod
-    def _assert_matches_oracle(traj, xi, times=None):
-        rows = sample_ray(traj, xi, times)
-        idx = (range(len(traj.ts)) if times is None else
-               [int(np.argmin(np.abs(traj.ts - t))) for t in times])
-        assert len(rows) == len(idx)
-        for (t, qp, qm), i in zip(rows, idx):
-            assert t == traj.ts[i]
+    def _assert_matches_oracle(traj, xi):
+        rows = sample_ray(traj, xi)
+        assert len(rows) == len(traj.ts)
+        for (t, qp, qm), t_snap, field in zip(rows, traj.ts, traj.fields):
+            assert t == t_snap
             xr = 4.0 * xi * t
-            want = _bandlimited_eval(traj.fields[i], traj.L_box,
-                                     np.array([xr, -xr]))
+            want = _bandlimited_eval(field, traj.L_box, np.array([xr, -xr]))
             got = np.array([qp, qm])
             assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
 
@@ -229,19 +223,18 @@ class TestSampleRay:
         assert len(small_traj.ts) % sim._SAMPLE_BLOCK != 0
         self._assert_matches_oracle(small_traj, xi)
 
-    def test_matches_direct_sum_at_unsorted_repeated_times(self, small_traj):
-        self._assert_matches_oracle(
-            small_traj, 0.7, [1.9, 0.0, 1.1, 1.1, 0.3, 2.0, 0.26, 1.1, 0.6,
-                              1.4, 0.8])
-
     def test_sample_independent_of_block(self, small_traj):
+        # starting one snapshot later shifts every block by one snapshot
         rows = sample_ray(small_traj, 0.7)
-        for t, row in zip(small_traj.ts, rows):
-            assert sample_ray(small_traj, 0.7, [t]) == [row]
+        later = FieldTrajectory(
+            ts=small_traj.ts[1:], fields=small_traj.fields[1:],
+            x=small_traj.x, A=small_traj.A, L_box=small_traj.L_box,
+            noise_floor_estimate=small_traj.noise_floor_estimate)
+        assert sample_ray(later, 0.7) == rows[1:]
 
     def test_zero_ray_at_t0_is_grid_value(self, small_traj):
         # x = 0 is the node N/2 of the grid
-        (t, qp, qm), = sample_ray(small_traj, 0.0, [0.0])
+        t, qp, qm = sample_ray(small_traj, 0.0)[0]
         node = small_traj.fields[0][small_traj.x.size // 2]
         assert t == 0.0 and abs(qp - node) < 1e-14 and qp == qm
 
@@ -258,12 +251,6 @@ class TestSampleRay:
         for xi in (0.37, -1.1):
             self._assert_matches_oracle(traj, xi)
 
-    def test_time_past_end_raises(self, small_traj):
-        # small_traj ends at t = 2 with snapshots 0.25 apart
-        sample_ray(small_traj, 0.4, [2.12])
-        with pytest.raises(ValueError, match=r"time 2.13 .* t=2\b"):
-            sample_ray(small_traj, 0.4, [1.0, 2.13])
-
     def test_run_skips_ray_past_noise_cap(self):
         # A = 1 caps the simulation near t = 8.8; t = 12 has no snapshot
         cfg = {"schema": 1, "A": 1.0,
@@ -273,16 +260,56 @@ class TestSampleRay:
                "grid": {"L_box": 24.0, "N": 512, "dt": 0.0025, "t_max": 12.0}}
         cap = mi_time_cap(1.0)
         assert 8.8 < cap < 8.9
-        ray, = run(RunConfig.from_json(json.dumps(cfg))).rays
+        report = run(RunConfig.from_json(json.dumps(cfg)))
+        ray, = report.rays
         assert ray.skipped and not ray.rows
         assert ray.reason == ("ValueError: time 12 is outside the trajectory,"
                               f" whose last snapshot is at t={cap:g}")
+        assert report.config_summary["mi_time_cap"] == cap
+        assert report.config_summary["capped"] is True
+
+    def test_run_rows_at_exact_times(self):
+        # t = 1 lies between two snapshots of the default spacing (1.9023 /
+        # 400), where nearest-snapshot rows were 3.3e-5 to 6.7e-5 off the
+        # IFRK4 field; at t = 1.9023, on that spacing, the Strang-IFRK4 gap
+        # is at most 3.2e-8
+        cfg = {"schema": 1, "A": 0.5,
+               "profile": {"preset": "gaussian_bump", "amplitude": -0.2,
+                           "width": 1.0, "chirp": 0.3, "center": 0.8},
+               "rays": [1.2, 0.35], "t_list": [1.0, 1.9023],
+               "grid": {"L_box": 32.0, "N": 1024, "dt": 0.002, "t_max": 1.0}}
+        config = RunConfig.from_json(json.dumps(cfg))
+        grid = config.sim_grid(1.9023)
+        report = run(config)
+        for t in config.t_list:
+            n = int(np.ceil(t / 0.0005))
+            q = reference_ifrk4(config.profile, grid, t, t / n)
+            for ray in report.rays:
+                x = 4.0 * abs(ray.xi) * t
+                want = np.abs(_bandlimited_eval(q, grid.L_box, [x, -x]))
+                got = [s for (t_row, s, _) in ray.rows if t_row == t]
+                assert np.abs(np.array(got) - want).max() < 1e-7
+
+    def test_run_stops_at_blow_up(self):
+        # t_list reaches past the singularity at t = 7.6-7.85: the guard,
+        # which looks at least every 30 / 400 = 0.075, stops the run there
+        cfg = {"schema": 1, "A": 0.5,
+               "profile": {"preset": "gaussian_bump", **BLOWUP},
+               "rays": [1.2, 0.35], "t_list": [10.0, 20.0, 30.0]}
+        with pytest.raises(BlowUpError) as exc:
+            run(RunConfig.from_json(json.dumps(cfg)))
+        t = float(re.search(r"at t=([0-9.]+)", str(exc.value)).group(1))
+        assert abs(t - 7.575) <= 0.075
 
     def test_times_check_box_exit(self, small_traj):
         # 4 * 4.5 * 2 = 36 is past the box edge at 32, 4 * 4.5 * 1 = 18 is not
-        sample_ray(small_traj, 4.5, [1.0])
-        with pytest.raises(ValueError, match="exits the box"):
-            sample_ray(small_traj, 4.5, [1.0, 2.0])
+        to_1 = FieldTrajectory(
+            ts=small_traj.ts[:5], fields=small_traj.fields[:5],
+            x=small_traj.x, A=small_traj.A, L_box=small_traj.L_box,
+            noise_floor_estimate=small_traj.noise_floor_estimate)
+        sample_ray(to_1, 4.5)
+        with pytest.raises(ValueError, match="exits the box at t=2 "):
+            sample_ray(small_traj, 4.5)
 
 
 class TestExports:

@@ -11,20 +11,23 @@ whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
 traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
 per-layer times and k-point counts, and a separate fresh process per side
-counts the work of seven stages on the README config: the line table,
+counts the work of eight stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35`` and one
 at ``xi = 0.0931`` (the seed-0 ``ray_sweep`` ray with the most band
 nodes), ``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all
-its snapshots, and ``trajectory_to_csv``.  Only counts are reported: the
-two sides' stages run in different processes at different times, so their
-seconds cannot be compared (the paired perfbench runs time them).  Jost
+its snapshots, ``harness.run`` (the ``compare`` path, whose own
+``simulate`` may stop only at ``t_list``) and ``trajectory_to_csv``.  Only
+counts are reported: the two sides' stages run in different processes at
+different times, so their seconds cannot be compared (the paired
+perfbench runs time them).  Jost
 work is counted as Magnus cell steps times k-points; the line table and
 the elliptic rays also count the k-points of their ``scattering_data``
 calls, and the elliptic rays their ``quad_path`` calls, the integrand
-calls of the adaptive quadrature and the points they get.  ``simulate`` counts
-its ``fft`` and ``ifft`` calls and the rays count their ``fft`` calls and
-the snapshots these transform, from ``np.fft`` and ``scipy.fft`` alike,
-so that either side is counted the same way.
+calls of the adaptive quadrature and the points they get.  ``simulate``
+and ``harness.run`` count their ``fft`` and ``ifft`` calls and the rays
+count their ``fft`` calls and the snapshots these transform, from
+``np.fft`` and ``scipy.fft`` alike, so that either side is counted the
+same way.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
@@ -150,6 +153,9 @@ out["sample_rays"], _ = stage(
     lambda: [sim.sample_ray(traj, xi) for xi in np.linspace(0.1, 1.2, 12)],
     "fft_calls", "snapshots_transformed")
 out["sample_rays"]["rays"] = 12
+# the whole compare path: run() on the README config, its simulate included
+import nnlslab.harness as hn
+out["compare_run"], _ = stage(lambda: hn.run(cfg), "fft_calls", "ifft_calls")
 for (mod, name), f in plain.items():
     setattr(mod, name, f)
 with tempfile.TemporaryDirectory() as tmp:
