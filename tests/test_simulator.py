@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,10 +227,8 @@ class TestSampleRay:
     def test_sample_independent_of_block(self, small_traj):
         # starting one snapshot later shifts every block by one snapshot
         rows = sample_ray(small_traj, 0.7)
-        later = FieldTrajectory(
-            ts=small_traj.ts[1:], fields=small_traj.fields[1:],
-            x=small_traj.x, A=small_traj.A, L_box=small_traj.L_box,
-            noise_floor_estimate=small_traj.noise_floor_estimate)
+        later = replace(small_traj, ts=small_traj.ts[1:],
+                        fields=small_traj.fields[1:])
         assert sample_ray(later, 0.7) == rows[1:]
 
     def test_zero_ray_at_t0_is_grid_value(self, small_traj):
@@ -303,10 +302,8 @@ class TestSampleRay:
 
     def test_times_check_box_exit(self, small_traj):
         # 4 * 4.5 * 2 = 36 is past the box edge at 32, 4 * 4.5 * 1 = 18 is not
-        to_1 = FieldTrajectory(
-            ts=small_traj.ts[:5], fields=small_traj.fields[:5],
-            x=small_traj.x, A=small_traj.A, L_box=small_traj.L_box,
-            noise_floor_estimate=small_traj.noise_floor_estimate)
+        to_1 = replace(small_traj, ts=small_traj.ts[:5],
+                       fields=small_traj.fields[:5])
         sample_ray(to_1, 4.5)
         with pytest.raises(ValueError, match="exits the box at t=2 "):
             sample_ray(small_traj, 4.5)
