@@ -37,8 +37,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.rays:
             raise ValueError("rays must be nonempty")
-        if list(self.t_list) != sorted(self.t_list) or len(self.t_list) == 0:
-            raise ValueError("t_list must be nonempty and increasing")
+        if len(self.t_list) == 0 or not np.all(np.diff(self.t_list) > 0):
+            raise ValueError("t_list must be nonempty and strictly increasing")
         if not min(self.t_list) > 0:
             raise ValueError("t_list times must be positive")
         if self.profile.A != self.A:

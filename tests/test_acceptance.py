@@ -31,7 +31,8 @@ def _report(num, ok, text):
 
 @pytest.fixture(scope="module")
 def pw_ray(verif_profile):
-    grid = SimGrid(L_box=160.0, N=8192, dt=0.0019, t_max=30.0)
+    # the grid compare runs: L_box 304, N 4096, dt 0.01
+    grid = SimGrid.for_run(verif_profile, XI_PW, 30.0)
     traj = simulate(verif_profile, grid, 0.25 * np.arange(1, 121))
     rows = sample_ray(traj, XI_PW)
     ts = np.array([r[0] for r in rows])

@@ -40,10 +40,11 @@ class TestRunConfig:
             RunConfig.from_json(json.dumps(bad))
 
     def test_t_list_increasing(self):
-        bad = dict(CFG)
-        bad["t_list"] = [3.0, 1.0]
-        with pytest.raises(ValueError):
-            RunConfig.from_json(json.dumps(bad))
+        # a repeated time would give its rows twice and weigh them double
+        for t_list in ([3.0, 1.0], [1.0, 1.0, 2.0]):
+            bad = dict(CFG, t_list=t_list)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                RunConfig.from_json(json.dumps(bad))
 
     @pytest.mark.parametrize("t_list", [[0.0, 1.0], [-2.0, 1.0]])
     def test_t_list_positive(self, t_list):
@@ -243,7 +244,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["compare", "simulate"])
     def test_blow_up_is_an_error(self, tmp_path, command):
-        # this bump overflows at t = 7.6-7.85 (x = 6-7), before t_list ends
+        # this bump steepens near x = 6-7 until its grid no longer resolves
+        # it, at t = 7.16, before t_list ends (it overflows at t = 7.8)
         from nnlslab.cli import main
 
         cfg = dict(CFG, rays=[0.35], profile=dict(CFG["profile"], chirp=0.0,

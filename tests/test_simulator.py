@@ -15,7 +15,10 @@ from nnlslab.simulator import (BlowUpError, FieldTrajectory, SimGrid,
                                reference_ifrk4, sample_ray, simulate,
                                trajectory_to_csv, write_snapshots)
 
-#: A = 0.5 bump that overflows near x = 6-7 at t = 7.6-7.85 on any grid
+#: A = 0.5 bump that steepens near x = 6-7: by t = 7.5, max |q| >= 13 and a
+#: top-decile spectral share >= 5e-4 on (L_box, N) = (152, 4096), (304, 8192)
+#: and (304, 4096); without the resolution guard it overflows at t = 7.55,
+#: 7.55 and 7.91 there (dt 0.0033, 0.0033, 0.01)
 BLOWUP = dict(A=0.5, amplitude=-0.2, width=1.0, chirp=0.0, center=2.0)
 
 
@@ -46,9 +49,22 @@ class TestSimGrid:
             SimGrid(L_box=10.0, N=4096, dt=0.1, t_max=1.0)
 
     def test_for_run_covers_rays(self, verif_profile):
-        grid = SimGrid.for_run(verif_profile, 1.2, 10.0)
-        assert grid.L_box >= 4 * 1.2 * 10.0
-        assert grid.N >= 256
+        # a box twice the ray span plus margin, dx <= 1/(12 A) for any A
+        for prof in (verif_profile, InitialProfile.pure_background(1.0, L=2.0)):
+            grid = SimGrid.for_run(prof, 1.2, 10.0)
+            assert grid.L_box >= 2 * (4 * 1.2 * 10.0 + 8.0)
+            assert grid.dx <= 1.0 / (12.0 * prof.A)
+            assert grid.N >= 256
+
+    def test_for_run_resolves_readme_run(self, verif_profile):
+        # the README grid, run to the noise cap, stays far below the guard
+        grid = SimGrid.for_run(verif_profile, 1.2, 30.0)
+        assert (grid.L_box, grid.N, grid.dt) == (304.0, 4096, 0.01)
+        cap = mi_time_cap(verif_profile.A)
+        traj = simulate(verif_profile, replace(grid, t_max=2 * cap),
+                        [30.0, 2 * cap])
+        assert list(traj.ts) == [0.0, 30.0, cap]
+        assert sim._tail_share(np.fft.fft(traj.fields[1])) < 1e-14
 
 
 class TestSimulate:
@@ -159,15 +175,51 @@ class TestSimulate:
         nsnap, nsub = len(traj.ts) - 1, 25
         assert counts == {"fft": nsnap * nsub + 1, "ifft": nsnap * (nsub + 1)}
 
-    def test_non_finite_field_raises(self):
+    @staticmethod
+    def _blow_up_time(prof, grid):
+        with pytest.raises(BlowUpError) as exc:
+            simulate(prof, grid)
+        msg = str(exc.value)
+        share, t = re.fullmatch(
+            r"field non-finite or unresolved \(top-decile spectral energy "
+            r"(\S+) of the total\) at t=([0-9.]+)", msg).groups()
+        return float(share), float(t)
+
+    def test_non_finite_field_raises(self, monkeypatch):
+        # with no resolution bound the guard stops only on the overflow
+        monkeypatch.setattr(sim, "_TAIL_BOUND", np.inf)
         prof = InitialProfile.gaussian_bump(**BLOWUP)
         grid = SimGrid(L_box=32.0, N=512, dt=0.004, t_max=8.0)
-        with pytest.raises(BlowUpError, match="non-finite"):
-            simulate(prof, grid)
+        share, t = self._blow_up_time(prof, grid)
+        assert np.isnan(share) and 7.5 < t < 8.0
+
+    def test_unresolved_field_raises(self):
+        # the same run stops while the field is finite, before t = 7.5
+        prof = InitialProfile.gaussian_bump(**BLOWUP)
+        grid = SimGrid(L_box=32.0, N=512, dt=0.004, t_max=8.0)
+        share, t = self._blow_up_time(prof, grid)
+        assert sim._TAIL_BOUND <= share < 1.0 and 7.0 < t < 7.5
+
+    def test_guard_adds_no_fft(self, verif_profile, monkeypatch):
+        # one interval of 2000 steps: the guard reads the spectrum every
+        # 1/400 of the run (5 steps) and at the end, with one FFT pair a step
+        counts = {"fft": 0, "ifft": 0, "guard": 0}
+        for mod, name, key in ((scipy.fft, "fft", "fft"),
+                               (scipy.fft, "ifft", "ifft"),
+                               (sim, "_tail_share", "guard")):
+            def counting(a, *args, _f=getattr(mod, name), _k=key, **kw):
+                counts[_k] += 1
+                return _f(a, *args, **kw)
+            monkeypatch.setattr(mod, name, counting)
+        grid = SimGrid(L_box=20.0, N=512, dt=0.0005, t_max=1.0)
+        simulate(verif_profile, grid, [1.0])
+        assert counts == {"fft": 2001, "ifft": 2001, "guard": 400}
 
     def test_noise_guard_caps_time(self, verif_profile):
+        # a box wide enough that no wrapped wave steepens before the cap
+        # (on L_box 32, N 1024 one does, at t = 24.4)
         cap = mi_time_cap(verif_profile.A)
-        grid = SimGrid(L_box=32.0, N=1024, dt=0.002, t_max=2 * cap)
+        grid = SimGrid(L_box=64.0, N=1024, dt=0.01, t_max=2 * cap)
         # the times past the cap give one snapshot at the cap
         traj = simulate(verif_profile, grid, [cap / 2, 1.5 * cap, 2 * cap])
         assert traj.capped
@@ -290,15 +342,18 @@ class TestSampleRay:
                 assert np.abs(np.array(got) - want).max() < 1e-7
 
     def test_run_stops_at_blow_up(self):
-        # t_list reaches past the singularity at t = 7.6-7.85: the guard,
-        # which looks at least every 30 / 400 = 0.075, stops the run there
+        # t_list reaches past the singularity: the guard, which looks at
+        # least every 30 / 400 = 0.075, stops the run at t = 7.07 on the
+        # for_run grid (L_box 304, N 4096, dt 0.01), before t = 7.5, by
+        # which the field is unresolved on every grid tried (BLOWUP)
         cfg = {"schema": 1, "A": 0.5,
                "profile": {"preset": "gaussian_bump", **BLOWUP},
                "rays": [1.2, 0.35], "t_list": [10.0, 20.0, 30.0]}
         with pytest.raises(BlowUpError) as exc:
             run(RunConfig.from_json(json.dumps(cfg)))
         t = float(re.search(r"at t=([0-9.]+)", str(exc.value)).group(1))
-        assert abs(t - 7.575) <= 0.075
+        assert t < 7.5
+        assert abs(t - 7.07) <= 0.075
 
     def test_times_check_box_exit(self, small_traj):
         # 4 * 4.5 * 2 = 36 is past the box edge at 32, 4 * 4.5 * 1 = 18 is not
