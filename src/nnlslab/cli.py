@@ -135,7 +135,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(_load_config(args.config), args)
-    except BlowUpError as exc:
+    except (BlowUpError, ValueError) as exc:
         sys.exit(f"nnlslab {args.command}: error: {exc}")
 
 

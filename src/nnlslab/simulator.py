@@ -40,8 +40,8 @@ __all__ = [
 
 #: amplified round-off must stay below this for a run to count as valid
 _NOISE_BUDGET = 1e-8
-#: a run stops with BlowUpError unless the top decile of wavenumbers holds
-#: less than this share of the spectral energy
+#: a field is resolved if the top decile of wavenumbers holds less than
+#: this share of the energy of its non-constant modes
 _TAIL_BOUND = 1e-10
 #: sample_ray transforms at most this many snapshots at once
 _SAMPLE_BLOCK = 8
@@ -91,11 +91,18 @@ class SimGrid:
         """Box twice the ray span |x| <= 4*xi_max*t plus 8 for dispersive
         spreading (so waves wrapping round the periodic box stay off the
         rays), at least 12 points per unit of A*x (q scales as
-        A q~(A x, A^2 t)), and dt at the step-accuracy bound."""
+        A q~(A x, A^2 t)), refined while q0 is unresolved (see _tail_share)
+        and the grid is coarser than the profile's samples, and dt at the
+        step-accuracy bound."""
         L_box = max(2.0 * (4.0 * abs(xi_max) * t_max + 8.0),
                     4.0 * profile.support_L)
         N = 256
         while 2.0 * L_box / N > 1.0 / (12.0 * profile.A):
+            N *= 2
+        while 2.0 * L_box / N > profile.dx:
+            x = -L_box + 2.0 * L_box / N * np.arange(N)
+            if _tail_share(scipy.fft.fft(profile.q0(x))) < _TAIL_BOUND:
+                break
             N *= 2
         kmax = np.pi * N / (2.0 * L_box)
         dt = min(1.9 * np.pi / kmax**2, 0.01)
@@ -139,12 +146,16 @@ def nonlinear_substep(p, dt, A, mirror=None):
 
 
 def _tail_share(spectrum):
-    """Share of the spectral energy in the top decile of |wavenumber|
-    (np.fft order); nan for a non-finite spectrum."""
+    """Share of the energy of the non-constant modes that lies in the top
+    decile of |wavenumber| (np.fft order): 0 for a constant field, nan for
+    a non-finite one.  Leaving out the background's mode 0 makes the share
+    of a local feature independent of the box size."""
     N = spectrum.size
     tail = spectrum[N // 2 - N // 20: N // 2 + N // 20]
-    total = np.vdot(spectrum, spectrum).real
-    return np.vdot(tail, tail).real / total if total < np.inf else np.nan
+    rest = np.vdot(spectrum[1:], spectrum[1:]).real
+    if not rest < np.inf:
+        return np.nan
+    return np.vdot(tail, tail).real / rest if rest > 0.0 else 0.0
 
 
 def simulate(profile, grid, times=None):
@@ -152,10 +163,10 @@ def simulate(profile, grid, times=None):
     between snapshots cut into equal steps; returns the q snapshots at 0 and
     at ``times`` (default: 400 evenly spaced, or one per grid.dt on a short
     run).  Times past the end min(grid.t_max, mi_time_cap(A)) give one
-    snapshot at that end.  Raises BlowUpError once the field is non-finite
-    or unresolved, with a top-decile share of its spectral energy not below
-    _TAIL_BOUND; the guard reads the spectrum of every snapshot and at
-    least every 1/400 of the run."""
+    snapshot at that end.  Raises ValueError if the grid does not resolve
+    q0, and BlowUpError once the field is non-finite or unresolved: resolved
+    means a _tail_share below _TAIL_BOUND, which the guard reads from the
+    spectrum of every snapshot and at least every 1/400 of the run."""
     A = profile.A
     if grid.L_box < 2.0 * profile.support_L:
         raise ValueError("box must cover twice the profile support")
@@ -173,12 +184,20 @@ def simulate(profile, grid, times=None):
     kappa2 = (2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)) ** 2
     # (half, full) linear steps by step length, reused across even intervals
     steps = {}
-    fields = np.empty((len(ts), grid.N), dtype=complex)
-    fields[0] = profile.q0(x)
+    q0 = profile.q0(x)
     # ph is the spectrum after the last linear step: each interval opens
     # with a half-step, fuses the steps between nonlinear substeps into
     # full steps and closes with a half-step before the snapshot
-    ph = scipy.fft.fft(fields[0])
+    ph = scipy.fft.fft(q0)
+    share = _tail_share(ph)
+    if not share < _TAIL_BOUND:
+        raise ValueError(
+            "the grid does not resolve the initial field (top-decile "
+            f"spectral energy {share:.1e} of the non-constant modes at "
+            f"N={grid.N}); refine the grid (a profile with a jump, such as "
+            "the box preset, needs one far finer than its samples)")
+    fields = np.empty((len(ts), grid.N), dtype=complex)
+    fields[0] = q0
     # a field that overflows inside an interval is caught by the guard
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, len(ts)):
@@ -201,7 +220,8 @@ def simulate(profile, grid, times=None):
                     if not share < _TAIL_BOUND:
                         raise BlowUpError(
                             "field non-finite or unresolved (top-decile "
-                            f"spectral energy {share:.1e} of the total) "
+                            f"spectral energy {share:.1e} of the "
+                            "non-constant modes) "
                             f"at t={ts[n - 1] + j * dt:.3f}")
             ph *= half
             fields[n] = scipy.fft.ifft(ph)

@@ -245,7 +245,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["compare", "simulate"])
     def test_blow_up_is_an_error(self, tmp_path, command):
         # this bump steepens near x = 6-7 until its grid no longer resolves
-        # it, at t = 7.16, before t_list ends (it overflows at t = 7.8)
+        # it, at t = 7.13 (compare) or 7.20 (simulate), before t_list ends
+        # (it overflows at t = 7.8)
         from nnlslab.cli import main
 
         cfg = dict(CFG, rays=[0.35], profile=dict(CFG["profile"], chirp=0.0,
@@ -259,4 +260,24 @@ class TestCli:
         msg = exc.value.code
         assert isinstance(msg, str) and "\n" not in msg
         assert msg.startswith(f"nnlslab {command}: error: field non-finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_box_profile_is_an_error(self, tmp_path, command):
+        # the box preset's jump stays unresolved down to its sample spacing,
+        # where SimGrid.for_run stops refining (N = 65536 here)
+        from nnlslab.cli import main
+
+        cfg = {key: val for key, val in CFG.items() if key != "grid"}
+        cfg["profile"] = {"preset": "box", "amplitude": -0.1, "width": 1.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith(f"nnlslab {command}: error: the grid does not "
+                              "resolve the initial field (top-decile")
+        assert "N=65536" in msg
         assert not out.exists()

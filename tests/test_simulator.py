@@ -16,7 +16,7 @@ from nnlslab.simulator import (BlowUpError, FieldTrajectory, SimGrid,
                                trajectory_to_csv, write_snapshots)
 
 #: A = 0.5 bump that steepens near x = 6-7: by t = 7.5, max |q| >= 13 and a
-#: top-decile spectral share >= 5e-4 on (L_box, N) = (152, 4096), (304, 8192)
+#: top-decile spectral share >= 1e-3 on (L_box, N) = (152, 4096), (304, 8192)
 #: and (304, 4096); without the resolution guard it overflows at t = 7.55,
 #: 7.55 and 7.91 there (dt 0.0033, 0.0033, 0.01)
 BLOWUP = dict(A=0.5, amplitude=-0.2, width=1.0, chirp=0.0, center=2.0)
@@ -55,6 +55,23 @@ class TestSimGrid:
             assert grid.L_box >= 2 * (4 * 1.2 * 10.0 + 8.0)
             assert grid.dx <= 1.0 / (12.0 * prof.A)
             assert grid.N >= 256
+
+    def test_for_run_refines_narrow_profile(self):
+        # width 0.19 is unresolved at dx = 1/(12 A) (share 2.4e-7), so the
+        # grid halves dx and the run starts resolved
+        prof = InitialProfile.gaussian_bump(0.5, -0.2, 0.19, chirp=0.3,
+                                            center=0.8)
+        grid = SimGrid.for_run(prof, 1.2, 30.0)
+        assert (grid.L_box, grid.N) == (304.0, 8192)
+        assert sim._tail_share(np.fft.fft(prof.q0(grid.x))) < 1e-20
+        simulate(prof, replace(grid, t_max=0.5), [0.5])
+
+    def test_for_run_stops_refining_at_profile_samples(self):
+        # the box preset is unresolved at every dx down to its own sample
+        # spacing (width / 200), where the refinement stops
+        prof = InitialProfile.box(0.5, -0.1, 1.0)
+        grid = SimGrid.for_run(prof, 1.2, 30.0)
+        assert grid.dx <= prof.dx < 2.0 * grid.dx
 
     def test_for_run_resolves_readme_run(self, verif_profile):
         # the README grid, run to the noise cap, stays far below the guard
@@ -182,7 +199,8 @@ class TestSimulate:
         msg = str(exc.value)
         share, t = re.fullmatch(
             r"field non-finite or unresolved \(top-decile spectral energy "
-            r"(\S+) of the total\) at t=([0-9.]+)", msg).groups()
+            r"(\S+) of the non-constant modes\) at t=([0-9.]+)",
+            msg).groups()
         return float(share), float(t)
 
     def test_non_finite_field_raises(self, monkeypatch):
@@ -201,8 +219,9 @@ class TestSimulate:
         assert sim._TAIL_BOUND <= share < 1.0 and 7.0 < t < 7.5
 
     def test_guard_adds_no_fft(self, verif_profile, monkeypatch):
-        # one interval of 2000 steps: the guard reads the spectrum every
-        # 1/400 of the run (5 steps) and at the end, with one FFT pair a step
+        # one interval of 2000 steps: the guard reads the spectrum of q0,
+        # then every 1/400 of the run (5 steps) and at the end, with one FFT
+        # pair a step
         counts = {"fft": 0, "ifft": 0, "guard": 0}
         for mod, name, key in ((scipy.fft, "fft", "fft"),
                                (scipy.fft, "ifft", "ifft"),
@@ -213,7 +232,34 @@ class TestSimulate:
             monkeypatch.setattr(mod, name, counting)
         grid = SimGrid(L_box=20.0, N=512, dt=0.0005, t_max=1.0)
         simulate(verif_profile, grid, [1.0])
-        assert counts == {"fft": 2001, "ifft": 2001, "guard": 400}
+        assert counts == {"fft": 2001, "ifft": 2001, "guard": 401}
+
+    def test_tail_share_independent_of_box(self):
+        # the same narrow bump at the same dx on boxes 32, 64 and 128 wide
+        prof = InitialProfile.gaussian_bump(0.5, -0.2, 0.1, chirp=0.3,
+                                            center=0.8)
+        shares = []
+        for L, N in ((32.0, 1024), (64.0, 2048), (128.0, 4096)):
+            x = SimGrid(L_box=L, N=N, dt=1e-4, t_max=1.0).x
+            shares.append(sim._tail_share(np.fft.fft(prof.q0(x))))
+        assert 1e-10 < min(shares)
+        assert max(shares) < 1.01 * min(shares)
+
+    def test_tail_share_of_constant_and_non_finite_fields(self):
+        assert sim._tail_share(np.fft.fft(np.full(512, 0.5 + 0j))) == 0.0
+        field = np.full(512, 0.5 + 0j)
+        field[7] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sim._tail_share(np.fft.fft(field)))
+
+    def test_unresolved_initial_field_raises(self):
+        # the box preset's jump: a top-decile share of 2e-3 on this grid
+        prof = InitialProfile.box(0.5, -0.1, 1.0)
+        grid = SimGrid(L_box=20.0, N=1024, dt=0.001, t_max=1.0)
+        with pytest.raises(ValueError, match=r"the grid does not resolve the "
+                           r"initial field \(top-decile spectral energy "
+                           r"2\.3e-03 of the non-constant modes at N=1024\)"):
+            simulate(prof, grid, [1.0])
 
     def test_noise_guard_caps_time(self, verif_profile):
         # a box wide enough that no wrapped wave steepens before the cap
