@@ -137,14 +137,13 @@ def alpha_of(k0, xi, A):
     return complex(-k0 - xi, np.sqrt(im2))
 
 
-def _k0_residual(k0, xi, A, tol=1e-12):
+def _k0_residual(k0, xi, A):
     """Imaginary part of the B-integral whose vanishing selects k0 (the
     integral is purely imaginary by the conjugation symmetry in y)."""
     alpha = alpha_of(k0, xi, A)
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
-    val = quad_path(
-        lambda z: (z - k0) * gamma2(z, alpha) / f_branch(z, A), path, tol=tol
-    )
+    val = quad_path(lambda z: (z - k0) * gamma2(z, alpha) / f_branch(z, A),
+                    path, tol=1e-12)
     return float(val.imag)
 
 
@@ -171,11 +170,11 @@ def _rectangle_around_B(A, off):
             -off + 1j * (A + off), -off - 1j * (A + off), off - 1j * (A + off)]
 
 
-def _cycle_rectangle(fn, A, off, tol=1e-11):
+def _cycle_rectangle(fn, A, off):
     verts = _rectangle_around_B(A, off)
     total = 0.0 + 0.0j
     for a, b in zip(verts[:-1], verts[1:]):
-        total += quad_path(fn, ComplexPath.segment(a, b), tol=tol)
+        total += quad_path(fn, ComplexPath.segment(a, b), tol=1e-11)
     return total
 
 
@@ -408,37 +407,35 @@ def g_machinery(surface, spectral):
     upper, lower, singular = _band_densities(spectral, surface)
     lnd_B = _lndelta_on_B(k0, spectral)
 
-    def inv_gamma_u(z):
-        return -1.0 / gamma_rs(z, A, alpha)
-
-    def inv_gamma_l(z):
-        return 1.0 / gamma_rs(z, A, alpha)
-
     def rho_B(z):
-        return 2.0 * lnd_B(np.imag(z)) * inv_gamma_l(z)
+        return 2.0 * lnd_B(np.imag(z)) * (1.0 / gamma_rs(z, A, alpha))
 
-    def rho_u(z):
-        t = np.real((z - k0) / (alpha - k0))
-        return (upper(t) + singular(z)) * inv_gamma_u(z)
+    # (series, end, sign of 1/gamma_rs, path) of the bands k0 -> alpha and
+    # k0 -> conj(alpha)
+    bands = ((upper, alpha, -1.0, surface.band_upper),
+             (lower, np.conj(alpha), 1.0, surface.band_lower))
 
-    def rho_l(z):
-        t = np.real((z - k0) / (np.conj(alpha) - k0))
-        return (lower(t) + singular(z)) * inv_gamma_l(z)
+    def band_density(series, end, sign, shift=None):
+        """(series(t) + singular(z)) * sign / gamma_rs(z) on the band
+        k0 -> end, plus i shift * sign / gamma_rs(z) if shifted."""
+        def rho(z):
+            inv_gamma = sign / gamma_rs(z, A, alpha)
+            t = np.real((z - k0) / (end - k0))
+            out = (series(t) + singular(z)) * inv_gamma
+            return out if shift is None else out + 1j * shift * inv_gamma
+        return rho
 
     B_path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
     I_B = quad_path(rho_B, B_path, tol=tol)
-    I_u = quad_path(rho_u, surface.band_upper, tol=tol)
-    I_l = quad_path(rho_l, surface.band_lower, tol=tol)
+    I_u, I_l = (quad_path(band_density(*band), path, tol=tol)
+                for *band, path in bands)
     # omega = i (I_B + I_u + I_l)/D, D = int_bands 1/gamma = -1/(2 C_norm):
     # dk/gamma ~ dk/k^2, so its cycles around the bands and around B cancel
     omega = -2j * surface.C_norm * (I_B + I_u + I_l)
 
     # the omega-shifted densities of G; G_inf is -1/(2 pi) their first moments
-    densities = (
-        (rho_B, B_path),
-        (lambda z: rho_u(z) + 1j * omega * inv_gamma_u(z), surface.band_upper),
-        (lambda z: rho_l(z) + 1j * omega * inv_gamma_l(z), surface.band_lower),
-    )
+    densities = ((rho_B, B_path), *((band_density(*band, omega), path)
+                                    for *band, path in bands))
     K_B, K_u, K_l = (quad_path(lambda z: rho(z) * z, path, tol=tol)
                      for rho, path in densities)
     G_inf = -(K_B + K_u + K_l) / (2.0 * np.pi)

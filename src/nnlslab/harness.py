@@ -47,7 +47,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, obj):
         """Parse a schema-1 config; the keys "tolerances", "out_dir" and
-        "seed" of older files are accepted and ignored."""
+        "seed" of older files, and "t_max" in "grid", are accepted and
+        ignored (a grid runs to the last of t_list, see sim_grid)."""
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
         if obj.get("schema") != _SCHEMA:
@@ -55,18 +56,15 @@ class RunConfig:
         prof_spec = dict(obj["profile"])
         prof_spec.setdefault("A", obj["A"])
         profile = InitialProfile.from_json(prof_spec)
+        t_list = [float(t) for t in obj["t_list"]]
         grid = None
         if "grid" in obj:
             g = obj["grid"]
             grid = SimGrid(L_box=float(g["L_box"]), N=int(g["N"]),
-                           dt=float(g["dt"]), t_max=float(g["t_max"]))
-        return cls(
-            profile=profile,
-            A=float(obj["A"]),
-            rays=[float(x) for x in obj["rays"]],
-            t_list=[float(t) for t in obj["t_list"]],
-            grid=grid,
-        )
+                           dt=float(g["dt"]), t_max=max(t_list))
+        return cls(profile=profile, A=float(obj["A"]),
+                   rays=[float(x) for x in obj["rays"]], t_list=t_list,
+                   grid=grid)
 
     def sim_grid(self, t_max):
         """The configured grid run to t_max, else SimGrid.for_run's grid

@@ -216,21 +216,21 @@ def F_inf(k1, spectral):
     return -1j * _lndelta_on_B(k1, spectral).coef[0]
 
 
-def F_inf_split(k1, spectral, n=_B_NODES):
+def F_inf_split(k1, spectral):
     """F_inf assembled from the separated real/imaginary double integrals.
 
     Independent route: the inner line integrals use log|1+r1r2| and the
-    accumulated argument separately; both outer integrals are real up to
-    quadrature noise."""
+    accumulated argument separately, at the _B_NODES Chebyshev y of F_inf's
+    series; both outer integrals are real up to quadrature noise."""
     A = spectral.A
     k_lo = -spectral.k_tail
     path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt", "inverse_sqrt")
     halves = []
     for part in (np.real, np.imag):
-        # inner integrals over s with kernel 1/(s - i y), at n Chebyshev y
+        # inner integrals over s with kernel 1/(s - i y)
         ip = Chebyshev.interpolate(lambda y: np.array([cauchy_segment(
             lambda z: part(spectral.log_rr(np.real(z))) + 0j, k_lo, float(k1),
-            1j * yy, tol=_F_TOL) for yy in y]), n - 1, domain=[-A, A])
+            1j * yy, tol=_F_TOL) for yy in y]), _B_NODES - 1, domain=[-A, A])
         outer = quad_path(lambda z: ip(np.imag(z)) / f_branch(z, A), path,
                           tol=_F_TOL)
         halves.append(-outer / (2j * np.pi**2))
@@ -265,27 +265,20 @@ def planewave_params(xi, spectral):
         wm = (wk1 - 1.0 / wk1) ** 2
         wp = (wk1 + 1.0 / wk1) ** 2
         sq = np.sqrt(np.pi) / np.sqrt(2.0)
-        nuc = np.conj(nu)
-        c1 = sq * wm * Fk1**2 / (r2k1 * gamma_complex(1j * nu)) * np.exp(
-            2j * Finf - np.pi * nu / 2 + 3j * np.pi / 4 - 2 * chi
-            - (1 - 2j * nu) * log_term
-        )
-        c2 = sq * wp / (r1k1 * gamma_complex(-1j * nu) * Fk1**2) * np.exp(
-            2j * Finf - np.pi * nu / 2 + 1j * np.pi / 4 + 2 * chi
-            - (1 + 2j * nu) * log_term
-        )
-        c3 = sq * wp * np.conj(Fk1**2) / (
-            np.conj(r2k1) * gamma_complex(-1j * nuc)
-        ) * np.exp(
-            2j * np.conj(Finf) - np.pi * nuc / 2 + 1j * np.pi / 4
-            - 2 * np.conj(chi) - (1 + 2j * nuc) * log_term
-        )
-        c4 = sq * wm / (
-            np.conj(r1k1) * gamma_complex(1j * nuc) * np.conj(Fk1**2)
-        ) * np.exp(
-            2j * np.conj(Finf) - np.pi * nuc / 2 + 3j * np.pi / 4
-            + 2 * np.conj(chi) - (1 - 2j * nuc) * log_term
-        )
+
+        def pair(nu, Finf, chi, num, den, ra, rb):
+            """(c1, c2) at F(k1)^2 = num/den; the same forms give (c4, c3)
+            under nu -> conj nu, F_inf -> conj F_inf, chi -> -conj chi,
+            F^2 -> 1/conj F^2 and (r2, r1) -> (conj r1, conj r2)."""
+            s = 2j * Finf - np.pi * nu / 2
+            return (sq * wm * num / (ra * gamma_complex(1j * nu) * den) * np.exp(
+                        s + 3j * np.pi / 4 - 2 * chi - (1 - 2j * nu) * log_term),
+                    sq * wp * den / (rb * gamma_complex(-1j * nu) * num) * np.exp(
+                        s + 1j * np.pi / 4 + 2 * chi - (1 + 2j * nu) * log_term))
+
+        c1, c2 = pair(nu, Finf, chi, Fk1**2, 1.0, r2k1, r1k1)
+        c4, c3 = pair(np.conj(nu), np.conj(Finf), -np.conj(chi), 1.0,
+                      np.conj(Fk1**2), np.conj(r1k1), np.conj(r2k1))
 
     case = subleading_case(nu)
 

@@ -45,7 +45,6 @@ __all__ = [
     "jost_at_origin",
     "line_series",
     "scattering_data",
-    "reflection",
     "validate_assumptions",
     "winding_k_stop",
 ]
@@ -415,16 +414,6 @@ def scattering_data(profile, k, only=None):
     return tuple(out) if only is None else out[0]
 
 
-def reflection(profile, k):
-    """Reflection coefficients (r1, r2) = (b1/a1, b2/a2)."""
-    a1, a2, b1, b2 = scattering_data(profile, k)
-    if np.any(np.abs(np.atleast_1d(a1)) < 1e-12) or np.any(
-        np.abs(np.atleast_1d(a2)) < 1e-12
-    ):
-        raise ValueError("a_j vanished: zero-freeness assumption violated")
-    return b1 / a1, b2 / a2
-
-
 #: the line table's tail starts where |r1*r2| falls below this
 _TAIL_TARGET = 1e-12
 #: right end of the line table and of elliptic winding checks, in units of A
@@ -484,7 +473,11 @@ class SpectralTable:
         return scattering_data(self.profile, k)
 
     def reflection_at(self, k):
-        return reflection(self.profile, k)
+        """Reflection coefficients (r1, r2) = (b1/a1, b2/a2)."""
+        a1, a2, b1, b2 = self.at(k)
+        if np.any(np.abs([a1, a2]) < 1e-12):
+            raise ValueError("a_j vanished: zero-freeness assumption violated")
+        return b1 / a1, b2 / a2
 
     def rr(self, k):
         """1 + r1(k)*r2(k)."""
@@ -552,13 +545,12 @@ class SpectralTable:
     # -- cut-side samples ----------------------------------------------------
 
     def B_chebyshev(self):
-        """(y, r1, r2): minus-side reflection coefficients at k = i*y on 96
-        Chebyshev nodes y of B shrunk by 1e-6, computed once."""
+        """(y, r1, r2): minus-side reflection_at k = i*y on 96 Chebyshev
+        nodes y of B shrunk by 1e-6, computed once."""
         if self._b_samples is None:
             j = np.arange(96)
             y = self.A * (1.0 - 1e-6) * np.cos(np.pi * (2 * j + 1) / (2 * 96))
-            a1, a2, b1, b2 = self.at(1j * y)
-            self._b_samples = (y, b1 / a1, b2 / a2)
+            self._b_samples = (y, *self.reflection_at(1j * y))
         return self._b_samples
 
 
@@ -616,9 +608,12 @@ def _winding_on_polyline(eval_fn, verts):
 
 
 def winding_k_stop(ray, A):
-    """Right end of the stretch of the negative axis over which a ray's
-    asymptotics read the argument of 1 + r1*r2: up to the stationary point
-    k1 < -A/sqrt(2) in the plane-wave region, up to the cut otherwise."""
+    """Right end of the stretch of the negative axis on which a ray's
+    winding of 1 + r1*r2 is checked.  A plane-wave ray's asymptotics read
+    the argument up to its stationary point k1 < -A/sqrt(2); the check runs
+    to -A/sqrt(2), the upper end of k1 over all plane-wave rays, so this end
+    is the same for every such ray and conservative for each.  Other rays
+    read it up to the cut, _LINE_END * A."""
     return -A / np.sqrt(2.0) if ray.region is RayRegion.PLANE_WAVE else _LINE_END * A
 
 
@@ -638,35 +633,29 @@ def validate_assumptions(spectral, rays):
     # the contours run eps off the real axis and a sleeve s around the cut
     eps = s = 1e-3
 
-    def a1_fn(pts):
-        return scattering_data(profile, pts, only="a1")
-
-    def a2_fn(pts):
-        return scattering_data(profile, pts, only="a2")
-
     upper = [
         -K + 1j * eps, -s + 1j * eps, -s + 1j * (A + s), s + 1j * (A + s),
         s + 1j * eps, K + 1j * eps, K + 1j * K, -K + 1j * K, -K + 1j * eps,
     ]
     lower = [np.conj(v) for v in upper][::-1]
-    n_up = _winding_on_polyline(a1_fn, upper)
-    n_dn = _winding_on_polyline(a2_fn, lower)
-
-    # boundary guard: spectral singularities on R or the cut sides
+    # boundary guard probes: spectral singularities on R or the cut sides
     kr = np.linspace(-K, K, 201)
     kr = kr[np.abs(kr) > 2 * s]
     ycut = np.linspace(-A * (1 - 1e-3), A * (1 - 1e-3), 51)
-    probes_a1 = np.concatenate([kr, 1j * ycut[ycut > 0] + s, 1j * ycut[ycut > 0] - s])
-    probes_a2 = np.concatenate([kr, 1j * ycut[ycut < 0] + s, 1j * ycut[ycut < 0] - s])
-    min_a1 = float(np.min(np.abs(a1_fn(probes_a1))))
-    min_a2 = float(np.min(np.abs(a2_fn(probes_a2))))
-    if min(min_a1, min_a2) < 1e-6:
+    windings, min_abs = [], []
+    for only, verts, ys in (("a1", upper, ycut[ycut > 0]),
+                            ("a2", lower, ycut[ycut < 0])):
+        a_fn = functools.partial(scattering_data, profile, only=only)
+        windings.append(_winding_on_polyline(a_fn, verts))
+        probes = np.concatenate([kr, 1j * ys + s, 1j * ys - s])
+        min_abs.append(float(np.min(np.abs(a_fn(probes)))))
+    if min(min_abs) < 1e-6:
         raise RuntimeError(
             "spectral function nearly vanishes on the boundary "
-            f"(min |a| = {min(min_a1, min_a2):.2e}); spectral singularity"
+            f"(min |a| = {min(min_abs):.2e}); spectral singularity"
         )
 
-    return [AssumptionReport(n_up, n_dn,
+    return [AssumptionReport(*windings,
                              spectral.max_abs_winding(winding_k_stop(ray, A)),
                              ray)
             for ray in rays]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -71,10 +71,9 @@ class SimGrid:
             raise ValueError("N must be a power of two >= 256")
         if not (self.L_box > 0 and self.dt > 0 and self.t_max > 0):
             raise ValueError("L_box, dt, t_max must be positive")
-        kmax = np.pi * self.N / (2.0 * self.L_box)
-        if self.dt * kmax * kmax > 4.0 * np.pi:
+        if self.dt * self.kmax * self.kmax > 4.0 * np.pi:
             raise ValueError(
-                f"dt * kmax^2 = {self.dt * kmax**2:.2f} exceeds the 4*pi "
+                f"dt * kmax^2 = {self.dt * self.kmax**2:.2f} exceeds the 4*pi "
                 "step-accuracy bound"
             )
 
@@ -86,6 +85,15 @@ class SimGrid:
     def x(self):
         return -self.L_box + self.dx * np.arange(self.N)
 
+    @property
+    def kmax(self):
+        return np.pi * self.N / (2.0 * self.L_box)
+
+    @property
+    def kappa(self):
+        """Angular wavenumbers in np.fft order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
+
     @classmethod
     def for_run(cls, profile, xi_max, t_max):
         """Box twice the ray span |x| <= 4*xi_max*t plus 8 for dispersive
@@ -96,17 +104,13 @@ class SimGrid:
         step-accuracy bound."""
         L_box = max(2.0 * (4.0 * abs(xi_max) * t_max + 8.0),
                     4.0 * profile.support_L)
-        N = 256
-        while 2.0 * L_box / N > 1.0 / (12.0 * profile.A):
-            N *= 2
-        while 2.0 * L_box / N > profile.dx:
-            x = -L_box + 2.0 * L_box / N * np.arange(N)
-            if _tail_share(scipy.fft.fft(profile.q0(x))) < _TAIL_BOUND:
-                break
-            N *= 2
-        kmax = np.pi * N / (2.0 * L_box)
-        dt = min(1.9 * np.pi / kmax**2, 0.01)
-        return cls(L_box=L_box, N=N, dt=dt, t_max=t_max)
+        # the step is set once N is; a tiny one passes every bound till then
+        grid = cls(L_box=L_box, N=256, dt=np.finfo(float).tiny, t_max=t_max)
+        while grid.dx > 1.0 / (12.0 * profile.A) or (
+                grid.dx > profile.dx
+                and _unresolved(scipy.fft.fft(profile.q0(grid.x))) is not None):
+            grid = replace(grid, N=2 * grid.N)
+        return replace(grid, dt=min(1.9 * np.pi / grid.kmax**2, 0.01))
 
 
 @dataclass
@@ -158,6 +162,13 @@ def _tail_share(spectrum):
     return np.vdot(tail, tail).real / rest if rest > 0.0 else 0.0
 
 
+def _unresolved(spectrum):
+    """The _tail_share of a field the grid does not resolve (a share not
+    below _TAIL_BOUND, nan included), else None."""
+    share = _tail_share(spectrum)
+    return None if share < _TAIL_BOUND else share
+
+
 def simulate(profile, grid, times=None):
     """Strang-split evolution in steps of at most grid.dt, each interval
     between snapshots cut into equal steps; returns the q snapshots at 0 and
@@ -181,7 +192,7 @@ def simulate(profile, grid, times=None):
 
     x = grid.x
     mirror = _mirror_index(grid.N)
-    kappa2 = (2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)) ** 2
+    kappa2 = grid.kappa ** 2
     # (half, full) linear steps by step length, reused across even intervals
     steps = {}
     q0 = profile.q0(x)
@@ -189,8 +200,7 @@ def simulate(profile, grid, times=None):
     # with a half-step, fuses the steps between nonlinear substeps into
     # full steps and closes with a half-step before the snapshot
     ph = scipy.fft.fft(q0)
-    share = _tail_share(ph)
-    if not share < _TAIL_BOUND:
+    if (share := _unresolved(ph)) is not None:
         raise ValueError(
             "the grid does not resolve the initial field (top-decile "
             f"spectral energy {share:.1e} of the non-constant modes at "
@@ -214,15 +224,13 @@ def simulate(profile, grid, times=None):
                     ph *= full
                 p = nonlinear_substep(scipy.fft.ifft(ph), dt, A, mirror)
                 ph = scipy.fft.fft(p, overwrite_x=True)
-                if j == nsub or j % nguard == 0:
-                    share = _tail_share(ph)
-                    # written so that NaN fails the guard too
-                    if not share < _TAIL_BOUND:
-                        raise BlowUpError(
-                            "field non-finite or unresolved (top-decile "
-                            f"spectral energy {share:.1e} of the "
-                            "non-constant modes) "
-                            f"at t={ts[n - 1] + j * dt:.3f}")
+                if (j == nsub or j % nguard == 0) and (
+                        share := _unresolved(ph)) is not None:
+                    raise BlowUpError(
+                        "field non-finite or unresolved (top-decile "
+                        f"spectral energy {share:.1e} of the "
+                        "non-constant modes) "
+                        f"at t={ts[n - 1] + j * dt:.3f}")
             ph *= half
             fields[n] = scipy.fft.ifft(ph)
     # restore the gauge q = p * exp(2i A^2 t)
@@ -277,7 +285,7 @@ def reference_ifrk4(profile, grid, t_end, dt):
     used to cross-check the gauged Strang scheme."""
     x = grid.x
     mirror = _mirror_index(grid.N)
-    kappa = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
+    kappa = grid.kappa
     lam = -1j * kappa * kappa  # i q_t + q_xx = ... => q_t = i q_xx + N(q)
 
     def nonlin(q):

@@ -114,7 +114,7 @@ def test_criterion_3_delta_F_factorization(verif_table):
         d2 = delta_fn(1j * y, k1, verif_table) ** 2
         f_res = max(f_res, abs(2 * (Fp2 * Fm2) - Fp * Fm - d2))
     route1 = F_inf(k1, verif_table)
-    route2, _ = F_inf_split(k1, verif_table, n=80)
+    route2, _ = F_inf_split(k1, verif_table)
     finf_res = abs(route1 - route2)
     ok = jump_res < 1e-7 and f_res < 1e-7 and finf_res < 1e-7
     _report(3, ok,

@@ -8,7 +8,7 @@ from nnlslab.ellipticwave import (abel_constants, alpha_of, build_surface,
                                   elliptic_data, elliptic_eval, g_machinery,
                                   gamma2, gamma_rs, h_machinery,
                                   reality_residuals, solve_k0)
-from nnlslab.numerics import PhaseUnwrapError, theta3
+from nnlslab.numerics import ComplexPath, PhaseUnwrapError, quad_path, theta3
 from nnlslab.planewave import delta_fn
 from nnlslab.scattering import InitialProfile, SpectralTable
 
@@ -100,6 +100,14 @@ class TestGamma2:
         k = 3e5
         assert abs(gamma_rs(k, 0.5, alpha) / k**2 - 1) < 1e-5
 
+    def test_band_cut_sign_inside_triangle(self, surface):
+        # between the band arc and the vertical cut the band-cut root flips
+        # sign; outside the triangle k0, alpha, conj(alpha) it does not
+        k = 0.5 * (surface.k0 + surface.alpha.real)
+        assert ew.gamma_band_cut(k, surface) == -gamma_rs(k, A, surface.alpha)
+        assert ew.gamma_band_cut(0.3, surface) == gamma_rs(0.3, A,
+                                                           surface.alpha)
+
 
 class TestSolveK0:
     def test_residual_and_sign_change(self, surface):
@@ -112,10 +120,15 @@ class TestSolveK0:
         ) < 0
 
     def test_high_resolution_oracle(self, surface):
-        # doubled-accuracy quadrature confirms the root location
-        from nnlslab.ellipticwave import _k0_residual
-
-        assert abs(_k0_residual(surface.k0, XI, A, tol=1e-13)) < 1e-9
+        # the residual's integral at a tenfold tighter target confirms the
+        # root location
+        k0 = surface.k0
+        alpha = alpha_of(k0, XI, A)
+        path = ComplexPath.segment(-1j * A, 1j * A, "inverse_sqrt",
+                                   "inverse_sqrt")
+        val = quad_path(lambda z: (z - k0) * gamma2(z, alpha) / f_branch(z, A),
+                        path, tol=1e-13)
+        assert abs(val.imag) < 1e-9
 
     def test_degenerate_limit(self):
         k0 = solve_k0(1.41, 1.0)

@@ -59,13 +59,17 @@ class TestRunConfig:
             RunConfig.from_json(json.dumps(bad))
 
     def test_ignored_schema1_keys(self):
-        # older schema-1 files carry keys that no longer set anything
+        # older schema-1 files carry keys that no longer set anything; a
+        # grid runs to the last of t_list, whatever t_max it gives
         cfg = RunConfig.from_json(json.dumps(
-            dict(CFG, tolerances={"quad": 1e-9}, out_dir="elsewhere", seed=7)))
+            dict(CFG, tolerances={"quad": 1e-9}, out_dir="elsewhere", seed=7,
+                 grid=dict(CFG["grid"], t_max=99.0))))
         plain = {k: v for k, v in CFG.items() if k not in ("out_dir", "seed")}
+        plain["grid"] = {k: v for k, v in CFG["grid"].items() if k != "t_max"}
         ref = RunConfig.from_json(json.dumps(plain))
         assert (cfg.A, cfg.rays, cfg.t_list, cfg.grid) == (
             ref.A, ref.rays, ref.t_list, ref.grid)
+        assert cfg.grid.t_max == max(CFG["t_list"])
         assert np.array_equal(cfg.profile.samples, ref.profile.samples)
 
 
@@ -167,6 +171,44 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["1.2"]["zero_count_upper"] == 0
         assert out["1.2"]["winding_ok"] is True
+
+    def test_scatter_subcommand(self, tmp_path, capsys):
+        from nnlslab.cli import main
+        from nnlslab.scattering import SpectralTable
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        rc = main(["scatter", "--config", str(cfg_path), "--k", "0.7",
+                   "--k", "0", "--k", "-1.5"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        # k = 0 is dropped: one object per remaining k
+        assert [d["k"] for d in out] == [0.7, -1.5]
+        want = SpectralTable(
+            RunConfig.from_json(json.dumps(CFG)).profile).at(
+                np.array([0.7, -1.5]))
+        for j, d in enumerate(out):
+            assert set(d) == {"k", "a1", "a2", "b1", "b2"}
+            for name, vals in zip(("a1", "a2", "b1", "b2"), want):
+                assert complex(d[name]["re"], d[name]["im"]) == vals[j]
+
+    def test_compare_subcommand(self, tmp_path, capsys):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        names = ("comparison.csv", "report.json", "constants.json")
+        digests = []
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir
+            assert main(["compare", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed == {"files": [str(out / n) for n in names],
+                               "skipped_rays": []}
+            digests.append([hashlib.sha256((out / n).read_bytes()).hexdigest()
+                            for n in names])
+        assert digests[0] == digests[1]
 
     def test_planewave_subcommand(self, tmp_path, capsys):
         from nnlslab.cli import main

@@ -163,7 +163,7 @@ class TestFMachinery:
 
     def test_finf_two_routes(self, verif_table):
         route1 = F_inf(K1, verif_table)
-        route2, imag_noise = F_inf_split(K1, verif_table, n=80)
+        route2, imag_noise = F_inf_split(K1, verif_table)
         assert abs(route1 - route2) < 1e-7
         assert imag_noise < 1e-9
 

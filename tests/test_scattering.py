@@ -7,8 +7,8 @@ from scipy.integrate import solve_ivp
 from nnlslab import scattering
 from nnlslab.background import E_matrix, classify_ray, f_branch
 from nnlslab.scattering import (InitialProfile, SpectralTable, jost_at_origin,
-                                reflection, scattering_data,
-                                validate_assumptions, winding_k_stop)
+                                scattering_data, validate_assumptions,
+                                winding_k_stop)
 
 
 class TestInitialProfile:
@@ -303,18 +303,18 @@ class TestSingleDeterminant:
 
 class TestReflection:
     def test_pure_background_zero(self, bg_profile):
-        r1, r2 = reflection(bg_profile, np.array([0.9, -2.2]))
+        r1, r2 = SpectralTable(bg_profile).reflection_at(np.array([0.9, -2.2]))
         assert max(np.abs(r1).max(), np.abs(r2).max()) < 1e-10
 
     def test_bounded_near_endpoints(self, verif_profile):
         A = verif_profile.A
         y = A * (1 - np.geomspace(1e-5, 1e-1, 10))
-        r1, r2 = reflection(verif_profile, 1j * y)
+        r1, r2 = SpectralTable(verif_profile).reflection_at(1j * y)
         assert np.abs(r1).max() < 50
         assert np.abs(r2).max() < 50
 
     def test_decay_on_real_axis(self, verif_profile):
-        r1, r2 = reflection(verif_profile, np.array([1e3]))
+        r1, r2 = SpectralTable(verif_profile).reflection_at(np.array([1e3]))
         assert abs(1e3 * r1[0]) < 10
         assert abs(1e3 * r2[0]) < 10
 
@@ -423,6 +423,20 @@ class TestValidateAssumptions:
         for ray, rep in zip(rays, reports):
             assert rep.max_abs_winding == verif_table.max_abs_winding(
                 winding_k_stop(ray, 0.5))
+
+    def test_winding_refines_wide_phase_gaps(self):
+        # z^60 turns 15 times along each edge of the square with corners
+        # +-1 +-i: 48 samples per edge leave phase gaps of 1.96, so the
+        # polyline is refined before it counts
+        calls = []
+
+        def power(z):
+            calls.append(z.size)
+            return z**60
+
+        verts = [1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+        assert scattering._winding_on_polyline(power, verts) == 60
+        assert calls[0] == 4 * 48 + 1 and len(calls) > 1
 
     def test_k_stop_by_region(self):
         assert winding_k_stop(classify_ray(1.2, 0.5), 0.5) == -0.5 / np.sqrt(2.0)
