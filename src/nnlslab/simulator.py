@@ -99,7 +99,7 @@ class SimGrid:
         """Box twice the ray span |x| <= 4*xi_max*t plus 8 for dispersive
         spreading (so waves wrapping round the periodic box stay off the
         rays), at least 12 points per unit of A*x (q scales as
-        A q~(A x, A^2 t)), refined while q0 is unresolved (see _tail_share)
+        A q~(A x, A^2 t)), refined while q0 is unresolved (see _unresolved)
         and the grid is coarser than the profile's samples, and dt at the
         step-accuracy bound."""
         L_box = max(2.0 * (4.0 * abs(xi_max) * t_max + 8.0),
