@@ -56,15 +56,15 @@ class RunConfig:
         prof_spec = dict(obj["profile"])
         prof_spec.setdefault("A", obj["A"])
         profile = InitialProfile.from_json(prof_spec)
-        t_list = [float(t) for t in obj["t_list"]]
-        grid = None
-        if "grid" in obj:
-            g = obj["grid"]
-            grid = SimGrid(L_box=float(g["L_box"]), N=int(g["N"]),
-                           dt=float(g["dt"]), t_max=max(t_list))
-        return cls(profile=profile, A=float(obj["A"]),
-                   rays=[float(x) for x in obj["rays"]], t_list=t_list,
-                   grid=grid)
+        config = cls(profile=profile, A=float(obj["A"]),
+                     rays=[float(x) for x in obj["rays"]],
+                     t_list=[float(t) for t in obj["t_list"]])
+        if "grid" not in obj:
+            return config
+        g = obj["grid"]
+        return replace(config, grid=SimGrid(
+            L_box=float(g["L_box"]), N=int(g["N"]), dt=float(g["dt"]),
+            t_max=max(config.t_list)))
 
     def sim_grid(self, t_max):
         """The configured grid run to t_max, else SimGrid.for_run's grid

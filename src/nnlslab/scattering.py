@@ -545,8 +545,8 @@ class SpectralTable:
     # -- cut-side samples ----------------------------------------------------
 
     def B_chebyshev(self):
-        """(y, r1, r2): minus-side reflection_at k = i*y on 96 Chebyshev
-        nodes y of B shrunk by 1e-6, computed once."""
+        """(y, r1, r2): minus-side reflection coefficients at k = i*y on 96
+        Chebyshev nodes y of B shrunk by 1e-6, computed once."""
         if self._b_samples is None:
             j = np.arange(96)
             y = self.A * (1.0 - 1e-6) * np.cos(np.pi * (2 * j + 1) / (2 * 96))

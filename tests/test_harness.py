@@ -41,7 +41,7 @@ class TestRunConfig:
 
     def test_t_list_increasing(self):
         # a repeated time would give its rows twice and weigh them double
-        for t_list in ([3.0, 1.0], [1.0, 1.0, 2.0]):
+        for t_list in ([3.0, 1.0], [1.0, 1.0, 2.0], []):
             bad = dict(CFG, t_list=t_list)
             with pytest.raises(ValueError, match="strictly increasing"):
                 RunConfig.from_json(json.dumps(bad))
