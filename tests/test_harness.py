@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nnlslab.harness import ComparisonReport, RunConfig, emit_report, run
-from nnlslab.scattering import InitialProfile
+from nnlslab.scattering import InitialProfile, scattering_data
 from nnlslab.simulator import SimGrid
 
 CFG = {
@@ -174,7 +174,6 @@ class TestCli:
 
     def test_scatter_subcommand(self, tmp_path, capsys):
         from nnlslab.cli import main
-        from nnlslab.scattering import SpectralTable
 
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(CFG))
@@ -184,9 +183,8 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         # k = 0 is dropped: one object per remaining k
         assert [d["k"] for d in out] == [0.7, -1.5]
-        want = SpectralTable(
-            RunConfig.from_json(json.dumps(CFG)).profile).at(
-                np.array([0.7, -1.5]))
+        profile = InitialProfile.from_json(dict(CFG["profile"], A=CFG["A"]))
+        want = scattering_data(profile, np.array([0.7, -1.5]))
         for j, d in enumerate(out):
             assert set(d) == {"k", "a1", "a2", "b1", "b2"}
             for name, vals in zip(("a1", "a2", "b1", "b2"), want):

@@ -11,8 +11,8 @@ both sides get the same config).  Prints, for each side, the sha256 of
 and ``snapshots.bin``, then the files whose digests differ.  Exits 0 if all
 five match, else 1.
 
-The simulate outputs take about 190 MiB per side; temporary trees go to
-``TMPDIR``.
+The simulate outputs, about 180 MiB, are removed once hashed; temporary
+trees go to ``TMPDIR``.  Both sides take about 10 s on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
