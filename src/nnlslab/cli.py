@@ -28,7 +28,7 @@ import numpy as np
 
 from .background import RayRegion, classify_ray
 from .ellipticwave import elliptic_data
-from .harness import RunConfig, emit_report, run
+from .harness import RunConfig, emit_report, ray_key, run
 from .numerics import json_value
 from .planewave import planewave_params
 from .scattering import SpectralTable, validate_assumptions
@@ -64,7 +64,7 @@ def _print_rays(cfg, args, region, per_rays):
                  f"the {wrong[0].region.value} region, not {region.value}")
     rays = [ray for ray in rays if ray not in wrong]
     out = per_rays(SpectralTable(cfg.profile), rays)
-    print(json.dumps({f"{ray.xi:g}": d for ray, d in zip(rays, out)},
+    print(json.dumps({ray_key(ray.xi): d for ray, d in zip(rays, out)},
                      sort_keys=True, indent=1))
     return 0
 
@@ -86,7 +86,8 @@ def cmd_elliptic(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    traj = simulate(cfg.profile, cfg.sim_grid(args.tmax or max(cfg.t_list)))
+    t_max = max(cfg.t_list) if args.tmax is None else args.tmax
+    traj = simulate(cfg.profile, cfg.sim_grid(t_max))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
     bin_path = os.path.join(args.out, "snapshots.bin")

@@ -21,9 +21,16 @@ from .planewave import planewave_eval, planewave_params
 from .scattering import InitialProfile, SpectralTable, validate_assumptions
 from .simulator import SimGrid, mi_time_cap, sample_ray, simulate
 
-__all__ = ["RunConfig", "RayResult", "ComparisonReport", "run", "emit_report"]
+__all__ = ["RunConfig", "RayResult", "ComparisonReport", "run", "emit_report",
+           "ray_key"]
 
 _SCHEMA = 1
+
+
+def ray_key(xi):
+    """The key of ray xi in the reports: the shortest decimal that reads
+    back as xi, so distinct rays get distinct keys ("1.2", "0.35", "2")."""
+    return np.format_float_positional(xi, trim="-")
 
 
 @dataclass
@@ -125,11 +132,12 @@ class ComparisonReport:
 
 
 def _fit_decay(ts, errs):
-    """Log-log slope of |err| vs t with its R^2."""
+    """Log-log slope of |err| vs t with its R^2; NaN for both unless at
+    least two distinct t have a nonzero error."""
     ts = np.asarray(ts, dtype=float)
     errs = np.asarray(errs, dtype=float)
     keep = errs > 0
-    if keep.sum() < 2:
+    if np.unique(ts[keep]).size < 2:
         return float("nan"), float("nan")
     x = np.log(ts[keep])
     y = np.log(errs[keep])
@@ -174,7 +182,7 @@ def run(config):
         try:
             if isinstance(rep, Exception):
                 raise rep
-            assumptions[f"{xi:g}"] = rep.to_dict()
+            assumptions[ray_key(xi)] = rep.to_dict()
             if rep.zero_count_upper or rep.zero_count_lower:
                 raise RuntimeError(
                     f"spectral zeros present "
@@ -227,7 +235,7 @@ def emit_report(report, out_dir):
             for row in r.rows:
                 fh.write(",".join(f"{v:.12e}" for v in (r.xi, *_row_values(*row)))
                          + "\n")
-    consts = {f"{r.xi:g}": r.constants for r in report.rays}
+    consts = {ray_key(r.xi): r.constants for r in report.rays}
     for path, obj in zip(paths[1:], (report.to_dict(), consts)):
         with open(path, "w") as fh:
             json.dump(obj, fh, sort_keys=True, indent=1, default=float)

@@ -8,17 +8,18 @@ from the edge of the perturbation support (where the exact initial value is
 the background diagonalizer E(k)) to x = 0 with a sixth-order Magnus
 integrator that steps exactly over the profile's sample cells, on which the
 interpolant is one polynomial (the last cell is partial when 0 is not a
-node).  Each entry of a cell's Magnus exponent is a cubic in k, and the 2x2
-exponential has closed form, so every batch of k is advanced cell by cell in
-one vectorized loop: the pure background is exact, large |k| sets no step
-size (cells are only cut where |k|*dx > 1/2), and a point's values do not
-depend on the other points of its batch.  Cut-side values come from one
-solve started at the minus-side E(k) with the minus-side f(k).  The columns
-of Psi solve independent ODEs (the right factor sigma3 is a sign per
-column), so any subset of them can be integrated on its own.  The spectral
-functions a1, a2, b1, b2 are 2x2 determinants of Jost columns.  Off the real
-axis the columns of a1 stay bounded only in the upper half plane and those
-of a2 only in the lower, while the other two columns grow like
+node).  Each entry of a cell's Magnus exponent is a cubic in k (read off
+four samples by a DFT), and the 2x2 exponential has closed form, so every
+batch of k is advanced cell by cell in one vectorized loop: the pure
+background is exact, large |k| sets no step size (cells are only cut where
+|k|*dx > 1/2), and fixed blocks of cells make a point's values independent
+of the other points of its batch.  Cut-side values come from one solve
+started at the minus-side E(k) with the minus-side f(k).  The columns of
+Psi solve independent ODEs (the right factor sigma3 is a sign per column),
+so any subset of them can be integrated on its own.  The spectral functions
+a1, a2, b1, b2 are 2x2 determinants of Jost columns.  Off the real axis the
+columns of a1 stay bounded only in the upper half plane and those of a2
+only in the lower, while the other two columns grow like
 exp(2*|Im f(k)|*L); ``scattering_data(..., only="a1")`` integrates just the
 two columns its determinant needs.  The two standing assumptions (no zeros
 of a1/a2, bounded winding of arg(1 + r1*r2)) have dedicated validators.
@@ -197,8 +198,9 @@ _GAUSS3 = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 #: oracle at k = 200 on dx = 0.01)
 _MAX_KH = 0.5
 #: cells per block: the cell exponentials of a block are multiplied together
-#: in a fixed order, so a k-point's values do not depend on its batch
-_BLOCK_CELLS = 4
+#: in a fixed order, so a k-point's values do not depend on its batch (16:
+#: few Python steps per few-point batch, small temporaries)
+_BLOCK_CELLS = 16
 #: cells whose exponent coefficients are held at once (a multiple of the block)
 _SEGMENT_CELLS = 4096
 #: k-points times cells evaluated at once (bounds the temporaries)
@@ -211,66 +213,44 @@ _COSH_TAYLOR = 1.0 / np.array([math.factorial(2 * n) for n in range(8)])
 _SINHC_TAYLOR = 1.0 / np.array([math.factorial(2 * n + 1) for n in range(8)])
 
 
-def _pmul(p, r):
-    """Product of polynomials in z given as lists of per-cell coefficient
-    arrays (lowest degree first), truncated at degree 3: no product the
-    Magnus exponent needs reaches beyond it."""
-    out = [0.0] * min(4, len(p) + len(r) - 1) if p and r else []
-    for i, u in enumerate(p):
-        for j, v in enumerate(r[: 4 - i]):
-            out[i + j] = out[i + j] + u * v
-    return out
-
-
-def _padd(*terms):
-    """Linear combination of (scalar, polynomial) pairs."""
-    out = [0.0] * max(len(p) for _, p in terms)
-    for scale, p in terms:
-        for j, u in enumerate(p):
-            out[j] = out[j] + scale * u
-    return out
-
-
 def _commutator(X, Y):
     """[X, Y] of traceless 2x2 matrices stored as (a, b, c) = [[a, b], [c, -a]]."""
     (a, b, c), (d, e, g) = X, Y
-    return (_padd((1.0, _pmul(b, g)), (-1.0, _pmul(e, c))),
-            _padd((2.0, _pmul(a, e)), (-2.0, _pmul(d, b))),
-            _padd((2.0, _pmul(d, c)), (-2.0, _pmul(a, g))))
+    return b * g - e * c, 2.0 * (a * e - d * b), 2.0 * (d * c - a * g)
 
 
 def _magnus_exponents(profile, side, edges):
     """Cubic coefficients in z = i k of Omega = [[a, b], [c, -a]] on the cells
     between side-1 ``edges`` (run mirrored, from +L, for side 2): three
-    (4, cells, 1) arrays, and the signed cell lengths."""
+    (4, cells, 1) arrays, and the signed cell lengths.  Omega is sampled at
+    z_j = i^j r, on a circle r = 1/max|h| around the |k| h <= _MAX_KH the
+    cells are stepped at (so the transform is well conditioned), and
+    c_n = DFT_n / (4 r^n) from one 4-point DFT."""
     h = np.diff(edges)
     x = edges[:-1, None] + _GAUSS3 * h[:, None]
     q, q_mirror = profile.q0(np.concatenate([x, -x])).reshape(2, *x.shape)
     cq = np.conj(q_mirror)
     if side == 2:
         q, cq, h = q_mirror, np.conj(q), -h
+    r = 1.0 / np.abs(h).max()
+    z = r * 1j ** np.arange(4)[:, None]
     s2, s3 = np.sqrt(15.0) / 3.0 * h, 10.0 / 3.0 * h
-    alpha1 = ([0.0, -h], [h * q[:, 1]], [-h * cq[:, 1]])
-    alpha2 = ([], [s2 * (q[:, 2] - q[:, 0])], [-s2 * (cq[:, 2] - cq[:, 0])])
-    alpha3 = ([], [s3 * (q[:, 2] - 2.0 * q[:, 1] + q[:, 0])],
-              [-s3 * (cq[:, 2] - 2.0 * cq[:, 1] + cq[:, 0])])
+    alpha1 = (-h * z, h * q[:, 1], -h * cq[:, 1])
+    alpha2 = (0.0, s2 * (q[:, 2] - q[:, 0]), -s2 * (cq[:, 2] - cq[:, 0]))
+    alpha3 = (0.0, s3 * (q[:, 2] - 2.0 * q[:, 1] + q[:, 0]),
+              -s3 * (cq[:, 2] - 2.0 * cq[:, 1] + cq[:, 0]))
     # Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with
-    # C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60
+    # C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60: at most cubic in z, so four
+    # samples determine it
     c1 = _commutator(alpha1, alpha2)
-    c2 = _commutator(alpha1, [_padd((2.0, u), (1.0, v))
-                              for u, v in zip(alpha3, c1)])
+    c2 = _commutator(alpha1, [2.0 * u + v for u, v in zip(alpha3, c1)])
     tail = _commutator(
-        [_padd((-20.0, u), (-1.0, v), (1.0, w))
-         for u, v, w in zip(alpha1, alpha3, c1)],
-        [_padd((1.0, u), (-1.0 / 60.0, v)) for u, v in zip(alpha2, c2)])
-    omega = []
-    for u, v, w in zip(alpha1, alpha3, tail):
-        coef = np.zeros((4, h.size, 1), dtype=complex)
-        for j, cj in enumerate(_padd((1.0, u), (1.0 / 12.0, v),
-                                     (1.0 / 240.0, w))):
-            coef[j, :, 0] = cj
-        omega.append(coef)
-    return omega, h
+        [-20.0 * u - v + w for u, v, w in zip(alpha1, alpha3, c1)],
+        [u - v / 60.0 for u, v in zip(alpha2, c2)])
+    omega = np.array([u + v / 12.0 + w / 240.0
+                      for u, v, w in zip(alpha1, alpha3, tail)])
+    coef = np.fft.fft(omega, axis=1) / (4.0 * r ** np.arange(4))[:, None]
+    return coef[..., None], h
 
 
 def _cosh_sinhc(w):

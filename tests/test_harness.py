@@ -1,10 +1,12 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from nnlslab.harness import ComparisonReport, RunConfig, emit_report, run
+from nnlslab.harness import (ComparisonReport, RunConfig, _fit_decay,
+                             emit_report, run)
 from nnlslab.scattering import InitialProfile, scattering_data
 from nnlslab.simulator import SimGrid
 
@@ -113,6 +115,32 @@ class TestRun:
         assert by_xi[0.0].skipped
         assert not by_xi[1.2].skipped
 
+
+    def test_close_rays_keep_their_own_keys(self, tmp_path, capsys):
+        # every report keys a ray by a decimal that reads back as the ray
+        from nnlslab.cli import main
+
+        cfg = dict(CFG, rays=[1.2, 1.2000001], t_list=[1.0],
+                   grid={"L_box": 20.0, "N": 512, "dt": 0.002, "t_max": 1.0})
+        keys = ["1.2", "1.2000001"]
+        rep = run(RunConfig.from_json(json.dumps(cfg)))
+        assert sorted(rep.assumptions) == keys
+        constants = emit_report(rep, str(tmp_path / "out"))[2]
+        with open(constants) as fh:
+            assert sorted(json.load(fh)) == keys
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == keys
+
+    def test_decay_fit_needs_two_times(self):
+        # one time (t_list [10]) gives two rows at the same log t: no slope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_fit_decay([10.0, 10.0], [1e-3, 2e-3])).all()
+            assert np.isnan(_fit_decay([10.0, 20.0], [1e-3, 0.0])).all()
+        slope, r2 = _fit_decay([10.0, 20.0, 20.0], [4e-3, 2e-3, 2e-3])
+        assert slope == pytest.approx(-1.0) and r2 == pytest.approx(1.0)
 
     def test_programming_error_propagates(self, monkeypatch):
         # only domain errors (ValueError, RuntimeError) skip a ray
@@ -265,6 +293,19 @@ class TestCli:
             fh.seek(-200, 2)
             last = fh.read().decode().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("tmax", ["0", "-1"])
+    def test_simulate_nonpositive_tmax_is_an_error(self, tmp_path, tmax):
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(CFG))
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                  "--tmax=" + tmax])
+        assert "t_max must be positive" in exc.value.code
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, xi, region", [
         ("planewave", "0.35", "elliptic_wave"),

@@ -157,9 +157,67 @@ class TestAgainstOracle:
         self._check_all(prof, np.array([0.3, 8.0]))
 
 
+def _omega_direct(profile, side, edges, z):
+    """The sixth-order Magnus exponent of Blanes, Casas & Ros of every cell at
+    one z = i k, from full 2x2 matrices: (cells, 2, 2)."""
+    sign = 1.0 if side == 1 else -1.0
+    h = sign * np.diff(edges)
+    x = sign * (edges[:-1, None] + scattering._GAUSS3 * np.diff(edges)[:, None])
+    M = np.empty(x.shape + (2, 2), dtype=complex)
+    M[..., 0, 0], M[..., 1, 1] = -z, z
+    M[..., 0, 1], M[..., 1, 0] = profile.q0(x), -np.conj(profile.q0(-x))
+    M *= h[:, None, None, None]
+    a1 = M[:, 1]
+    a2 = np.sqrt(15.0) / 3.0 * (M[:, 2] - M[:, 0])
+    a3 = 10.0 / 3.0 * (M[:, 2] - 2.0 * M[:, 1] + M[:, 0])
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _side1_edges(profile, pad):
+    """The sample cells from -L to 0, as _propagate cuts them with split 1,
+    and ``pad`` padding cells of length 0."""
+    n = profile.samples.size
+    knots = profile._x[: (n + 1) // 2]
+    knots = np.append(knots[:-1], 0.0) if n % 2 else np.append(knots, 0.0)
+    return np.append(knots, np.zeros(pad))
+
+
+class TestMagnusExponents:
+    """The cubic in z that _magnus_exponents reads off four samples is the
+    exponent itself: at a fifth z it matches a direct evaluation, so no
+    degree above 3 aliases into the coefficients."""
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("partial_cell", [False, True])
+    def test_fifth_point(self, verif_profile, side, partial_cell):
+        profile = verif_profile
+        if partial_cell:
+            # an even sample count: the last cell, up to 0, is partial
+            profile = InitialProfile(0.5, 8.0, 0.5 + 0.3j * np.exp(
+                -(np.linspace(-8.0, 8.0, 200) - 0.4) ** 2 / 0.5))
+        edges = _side1_edges(profile, pad=5)
+        omega, h = scattering._magnus_exponents(profile, side, edges)
+        r = 1.0 / np.abs(h).max()
+        for z in (0.5 * r * np.exp(1j), 0.3j * r):
+            want = _omega_direct(profile, side, edges, z)
+            a, b, c = (scattering._horner(coef, np.array([z]))[:, 0]
+                       for coef in omega)
+            got = np.stack([a, b, c, -a], axis=-1).reshape(-1, 2, 2)
+            assert np.abs(got - want).max() < 2e-15 * np.abs(want).max()
+        # padding cells step by the identity
+        assert not np.any([coef[:, -5:] for coef in omega])
+
+
 class TestBatchIndependence:
+    # fixed cell blocks: a k-point's values do not depend on its batch
+
     def test_line_table_batch(self, verif_table):
-        # fixed cell blocks: a k-point's values do not depend on its batch
         grid = np.concatenate([
             mapdomain(chebpts1(scattering._LINE_NODES), [-1, 1], p.domain)
             for p in verif_table.line])
@@ -167,7 +225,20 @@ class TestBatchIndependence:
         batch = np.array(scattering_data(profile, grid))
         for i in range(0, grid.size, 25):
             alone = np.array(scattering_data(profile, grid[i]))
-            assert np.abs(batch[:, i] - alone).max() < 1e-14
+            assert np.array_equal(batch[:, i], alone)
+
+    def test_validate_contour_batch(self):
+        # a1 on validate's upper contour, a far point, and one whose cells
+        # are cut in four (four segments), on a support of 8001 samples
+        profile = InitialProfile.gaussian_bump(0.5, -0.2, 1.0, chirp=0.3,
+                                               center=0.8, L=40.0)
+        ks = np.append(_validate_upper_contour(profile.A, per_edge=3),
+                       [0.3 + 45j, 150.0 + 1j])
+        batch = scattering_data(profile, ks, only="a1")
+        for i in range(0, ks.size, 4):
+            assert batch[i] == scattering_data(profile, ks[i], only="a1")
+        assert batch[-2] == scattering_data(profile, ks[-2], only="a1")
+        assert batch[-1] == scattering_data(profile, ks[-1], only="a1")
 
 
 class TestSpectralFunctions:
