@@ -204,7 +204,7 @@ _BLOCK_CELLS = 16
 #: cells whose exponent coefficients are held at once (a multiple of the block)
 _SEGMENT_CELLS = 4096
 #: k-points times cells evaluated at once (bounds the temporaries)
-_CHUNK_ELEMENTS = 4096
+_CHUNK_ELEMENTS = 8192
 #: |mu^2| up to which cosh(mu) and sinh(mu)/mu are summed as Taylor series in
 #: mu^2 (8 terms, truncation below 4e-18); cells with |k| h <= _MAX_KH and
 #: |q| h < 0.2 stay below it, others take the closed form
