@@ -115,7 +115,6 @@ class TestRun:
         assert by_xi[0.0].skipped
         assert not by_xi[1.2].skipped
 
-
     def test_close_rays_keep_their_own_keys(self, tmp_path, capsys):
         # every report keys a ray by a decimal that reads back as the ray
         from nnlslab.cli import main
@@ -141,6 +140,7 @@ class TestRun:
             assert np.isnan(_fit_decay([10.0, 20.0], [1e-3, 0.0])).all()
         slope, r2 = _fit_decay([10.0, 20.0, 20.0], [4e-3, 2e-3, 2e-3])
         assert slope == pytest.approx(-1.0) and r2 == pytest.approx(1.0)
+
 
     def test_programming_error_propagates(self, monkeypatch):
         # only domain errors (ValueError, RuntimeError) skip a ray

@@ -235,10 +235,8 @@ class TestBatchIndependence:
         ks = np.append(_validate_upper_contour(profile.A, per_edge=3),
                        [0.3 + 45j, 150.0 + 1j])
         batch = scattering_data(profile, ks, only="a1")
-        for i in range(0, ks.size, 4):
+        for i in [*range(0, ks.size, 4), -2, -1]:
             assert batch[i] == scattering_data(profile, ks[i], only="a1")
-        assert batch[-2] == scattering_data(profile, ks[-2], only="a1")
-        assert batch[-1] == scattering_data(profile, ks[-1], only="a1")
 
 
 class TestSpectralFunctions:
