@@ -48,6 +48,8 @@ class RunConfig:
             raise ValueError("t_list must be nonempty and strictly increasing")
         if not min(self.t_list) > 0:
             raise ValueError("t_list times must be positive")
+        if not np.all(np.isfinite([*self.rays, *self.t_list])):
+            raise ValueError("rays and t_list must be finite")
         if self.profile.A != self.A:
             raise ValueError(f"profile A {self.profile.A:g} != config A {self.A:g}")
 

@@ -32,10 +32,10 @@ __all__ = [
 
 _SING_TAGS = ("none", "inverse_sqrt", "log")
 
-#: geometric ratio of the graded mesh used for logarithmic endpoint
-#: singularities; 0.25**_LOG_GRADE_LEVELS reaches ~1e-17 of the panel width
-_LOG_GRADE_RATIO = 0.25
-_LOG_GRADE_LEVELS = 28
+#: power p of the substitution t = u^p that smooths each singular end:
+#: (z-a)^(-1/2) becomes a constant and log(z-a) becomes u^3 log u (p = 2
+#: leaves u log u, too rough where a caller multiplies the result by k^2)
+_END_POWER = {"inverse_sqrt": 2, "log": 4}
 #: Gauss-Legendre points per panel of the adaptive rule, and their nodes
 #: and weights on [-1, 1]
 _GL_POINTS = 15
@@ -114,11 +114,11 @@ def theta3(v, tau):
     return out if out.ndim else complex(out)
 
 
-def _adaptive_panels(f, a, b, seeds, tol):
+def _adaptive_panels(f, a, b, tol):
     """Level-batched h-adaptive Gauss-Legendre on z(t) = a + t*(b-a), t in [0,1].
 
-    ``seeds`` is a list of (t_lo, t_hi) panels covering the wanted range.
-    Accepts a panel when |I_panel - I_left - I_right| <= tol * panel_fraction.
+    Starts from the one panel [0, 1] and accepts a panel when
+    |I_panel - I_left - I_right| <= tol * panel_width.
     All panels of one refinement level go to the integrand in a single call.
     """
     span = b - a
@@ -132,27 +132,26 @@ def _adaptive_panels(f, a, b, seeds, tol):
             raise QuadratureError("non-finite integrand value on path interior")
         return th * span * (vals @ _GL_W)
 
-    tlo, thi = (np.array(t, dtype=float) for t in zip(*seeds))
-    total_t = float(np.sum(thi - tlo))
+    tlo, thi = np.zeros(1), np.ones(1)
     whole = rule(tlo, thi)
-    parent_err = np.full(tlo.size, np.inf)
+    parent_err = np.full(1, np.inf)
     result = 0.0 + 0.0j
     # roundoff floor relative to the magnitude the rule actually sums over
     scale = float(np.sum(np.abs(whole)))
     eps = np.finfo(float).eps
-    n_panels = tlo.size
+    n_panels = 1
     while tlo.size:
         tm = 0.5 * (tlo + thi)
         halves = rule(np.concatenate([tlo, tm]), np.concatenate([tm, thi]))
         left, right = halves[:tlo.size], halves[tlo.size:]
         scale = max(scale, float(np.max(np.abs(left) + np.abs(right))))
         err = np.abs(whole - left - right)
-        frac = (thi - tlo) / total_t
+        frac = thi - tlo
         # integrand chains (splines, branch roots, cancelling kernels) carry
         # noise well above eps; stop when bisection no longer improves
         stagnant = (frac < 1e-4) & (err > 0.25 * parent_err)
         floor = np.maximum(tol * np.maximum(frac, 1e-6), 450 * eps * scale)
-        done = (err <= floor) | stagnant | ((thi - tlo) < 1e-15)
+        done = (err <= floor) | stagnant | (frac < 1e-15)
         result += np.sum(left[done] + right[done])
         split = ~done
         n_panels += 2 * int(np.count_nonzero(split))
@@ -168,28 +167,10 @@ def _adaptive_panels(f, a, b, seeds, tol):
     return result
 
 
-def _log_seeds(a, span):
-    """Panels of t in [0, 1] graded geometrically toward a log end at t = 0.
-
-    The innermost levels are dropped while a Gauss node of the first panel's
-    left half, the closest the first two rule evaluations come to the end,
-    would round onto the end itself (where a log integrand is infinite);
-    that happens only when a + t*span loses t against |a| in every
-    coordinate."""
-    levels = _LOG_GRADE_LEVELS
-    while levels > 1:
-        quarter = 0.25 * _LOG_GRADE_RATIO ** levels
-        if a + (quarter + quarter * _GL_X[0]) * span != a:
-            break
-        levels -= 1
-    edges = [_LOG_GRADE_RATIO ** j for j in range(levels, 0, -1)]
-    return [(0.0, edges[0])] + [
-        (edges[j], edges[j + 1]) for j in range(len(edges) - 1)
-    ] + [(edges[-1], 1.0)]
-
-
 def _quad_segment(f, a, b, start_tag, end_tag, tol):
-    """Integrate f over the straight segment [a, b] honoring endpoint tags."""
+    """Integrate f over the straight segment [a, b] honoring endpoint tags:
+    a singular start a is smoothed by z = a + (b - a) u^p, p = _END_POWER[tag],
+    and f dz/du goes to the adaptive rule on u in [0, 1]."""
     if start_tag != "none" and end_tag != "none":
         mid = 0.5 * (a + b)
         return _quad_segment(f, a, mid, start_tag, "none", tol / 2) + \
@@ -197,25 +178,23 @@ def _quad_segment(f, a, b, start_tag, end_tag, tol):
     if end_tag != "none":
         # mirror so the singular end sits at the start
         return -_quad_segment(f, b, a, end_tag, "none", tol)
-    span = b - a
-    if start_tag == "inverse_sqrt":
-        # t = u^2 removes a (z-a)^(-1/2) singularity and doubles smoothness
-        def g(u):
-            z = a + span * u * u
-            return f(z) * 2.0 * u * span
+    if start_tag == "none":
+        return _adaptive_panels(f, a, b, tol)
+    p, span = _END_POWER[start_tag], b - a
 
-        return _adaptive_panels(g, 0.0, 1.0, [(0.0, 1.0)], tol)
-    if start_tag == "log":
-        return _adaptive_panels(f, a, b, _log_seeds(a, span), tol)
-    return _adaptive_panels(f, a, b, [(0.0, 1.0)], tol)
+    def g(u):
+        w = u ** (p - 1)
+        return f(a + span * w * u) * p * w * span
+
+    return _adaptive_panels(g, 0.0, 1.0, tol)
 
 
 def quad_path(f, path, tol=1e-10):
     """Adaptive Gauss-Legendre integral of ``f`` along a ComplexPath.
 
-    Endpoint singularities declared on the path are removed by substitution
-    (inverse square root) or a geometrically graded mesh (logarithmic).
-    ``tol`` is the absolute error target.
+    An endpoint singularity declared on the path is smoothed by the
+    substitution z - end ~ u^2 (inverse square root) or u^4 (logarithmic)
+    before the adaptive rule sees it.  ``tol`` is the absolute error target.
     """
     return _quad_segment(f, *path.vertices, *path.endpoint_singularity, tol)
 

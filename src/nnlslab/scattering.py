@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+def _check_sizes(**sizes):
+    """Raise ValueError unless every given (not None) size is finite and > 0."""
+    for name, v in sizes.items():
+        if v is not None and not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass
 class InitialProfile:
     """Background amplitude A plus a compactly supported complex perturbation,
@@ -118,6 +125,7 @@ class InitialProfile:
         one, which collapses the argument of 1 + r1*r2 to zero; a nonzero
         ``center`` keeps the nonlocal character visible.
         """
+        _check_sizes(width=width, L=L, dx=dx)
         amplitude = complex(amplitude)
         if amplitude.imag == 0.0:
             amplitude = amplitude.real
@@ -136,6 +144,7 @@ class InitialProfile:
 
     @classmethod
     def box(cls, A, amplitude, width, dx=None):
+        _check_sizes(width=width, dx=dx)
         if dx is None:
             dx = width / 200.0
         L = width / 2.0 + 4.0 * dx
@@ -173,6 +182,7 @@ class InitialProfile:
         samples = np.array([complex(re, im) for re, im in obj["samples"]])
         L = float(obj["L"])
         dx = float(obj["dx"])
+        _check_sizes(L=L, dx=dx)
         n_expected = int(round(2 * L / dx)) + 1
         if samples.size != n_expected:
             raise ValueError(
@@ -193,9 +203,9 @@ class InitialProfile:
 # coefficients depend only on the cell.
 
 _GAUSS3 = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
-#: largest |k|*h per cell: where |k|*dx exceeds it, the sample cells are cut
-#: into a power of two of equal parts (Jost columns within 3e-11 of a DOP853
-#: oracle at k = 200 on dx = 0.01)
+#: largest (|k| + max|q|)*h per cell: where (|k| + max|samples|)*dx exceeds
+#: it, the sample cells are cut into a power of two of equal parts (Jost
+#: columns within 3e-11 of a DOP853 oracle at k = 200 on dx = 0.01)
 _MAX_KH = 0.5
 #: cells per block: the cell exponentials of a block are multiplied together
 #: in a fixed order, so a k-point's values do not depend on its batch (16:
@@ -205,10 +215,9 @@ _BLOCK_CELLS = 16
 _SEGMENT_CELLS = 4096
 #: k-points times cells evaluated at once (bounds the temporaries)
 _CHUNK_ELEMENTS = 8192
-#: |mu^2| up to which cosh(mu) and sinh(mu)/mu are summed as Taylor series in
-#: mu^2 (8 terms, truncation below 4e-18); cells with |k| h <= _MAX_KH and
-#: |q| h < 0.2 stay below it, others take the closed form
-_TAYLOR_W = 0.3
+#: Taylor coefficients in mu^2 of cosh(mu) and sinh(mu)/mu: a cell with
+#: (|k| + |q|) h <= _MAX_KH has |mu^2| close to 1/4 at most, where 8 terms
+#: truncate below 1e-18 (below 4e-18 up to |mu^2| = 0.3)
 _COSH_TAYLOR = 1.0 / np.array([math.factorial(2 * n) for n in range(8)])
 _SINHC_TAYLOR = 1.0 / np.array([math.factorial(2 * n + 1) for n in range(8)])
 
@@ -254,7 +263,7 @@ def _magnus_exponents(profile, side, edges):
 
 
 def _cosh_sinhc(w):
-    """cosh(mu) and sinh(mu)/mu for mu^2 = w, both entire in w."""
+    """cosh(mu) and sinh(mu)/mu for mu^2 = w, summed as Taylor series in w."""
     out = []
     for coef in (_COSH_TAYLOR, _SINHC_TAYLOR):
         acc = coef[-1] * w
@@ -263,11 +272,6 @@ def _cosh_sinhc(w):
             acc *= w
         acc += coef[0]
         out.append(acc)
-    far = np.abs(w) > _TAYLOR_W
-    if far.any():
-        mu = np.sqrt(w[far])
-        out[0][far] = np.cosh(mu)
-        out[1][far] = np.sinh(mu) / mu
     return out
 
 
@@ -337,7 +341,7 @@ def _jost_batch(profile, ks, side, cols=(0, 1)):
     out = E_matrix(ks, profile.A)[:, :, list(cols)]
     # Psi*sigma3 multiplies column 0 by +1 and column 1 by -1
     ifs = 1j * fs[:, None] * np.array([1.0, -1.0])[list(cols)]
-    kh = np.abs(ks) * profile.dx / _MAX_KH
+    kh = (np.abs(ks) + np.abs(profile.samples).max()) * profile.dx / _MAX_KH
     split = 2 ** np.ceil(np.log2(np.maximum(kh, 1.0))).astype(int)
     for n in np.unique(split):
         sel = split == n

@@ -69,8 +69,8 @@ class SimGrid:
     def __post_init__(self):
         if self.N < 256 or self.N & (self.N - 1) != 0:
             raise ValueError("N must be a power of two >= 256")
-        if not (self.L_box > 0 and self.dt > 0 and self.t_max > 0):
-            raise ValueError("L_box, dt, t_max must be positive")
+        if not all(0 < v < np.inf for v in (self.L_box, self.dt, self.t_max)):
+            raise ValueError("L_box, dt, t_max must be positive and finite")
         if self.dt * self.kmax * self.kmax > 4.0 * np.pi:
             raise ValueError(
                 f"dt * kmax^2 = {self.dt * self.kmax**2:.2f} exceeds the 4*pi "

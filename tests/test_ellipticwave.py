@@ -382,6 +382,17 @@ class TestGMachinery:
         assert abs(omega2 - omega) < 1e-11
         assert abs(G_inf2 - G_inf) < 1e-11
 
+    def test_quadrature_converged(self, surface, verif_table, monkeypatch):
+        # the integrals, the bands' from their log end k0 among them, at
+        # g_machinery's tolerance 1e-9 against the same at 1e-13 (measured
+        # 2.5e-12 on omega and 1.1e-10 on G_inf, inside that tolerance)
+        omega, G_inf, _ = g_machinery(surface, verif_table)
+        monkeypatch.setattr(ew, "quad_path",
+                            lambda f, path, tol: quad_path(f, path, tol=1e-13))
+        omega2, G_inf2, _ = g_machinery(surface, verif_table)
+        assert abs(omega2 - omega) < 1e-11
+        assert abs(G_inf2 - G_inf) < 1e-9
+
     def test_band_nodes_double_on_phase_gap(self, surface, verif_table,
                                             monkeypatch):
         nodes = ew._band_nodes

@@ -307,6 +307,33 @@ class TestCli:
         assert "t_max must be positive" in exc.value.code
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, change, flags", [
+        ("simulate", {"t_list": [10.0, float("inf")]}, []),
+        ("simulate", {}, ["--tmax", "inf"]),
+        ("validate", {"rays": [1.2, float("nan")]}, []),
+        ("scatter", {"profile": dict(CFG["profile"], width=0.0)}, []),
+        ("scatter", {"profile": dict(CFG["profile"], dx=0.0)}, []),
+        ("scatter", {"profile": {"preset": "box", "amplitude": 0.3,
+                                 "width": 0.0}}, []),
+        ("scatter", {"profile": {"L": 1.0, "dx": 0.0,
+                                 "samples": [[0.5, 0.0]] * 3}}, []),
+    ])
+    def test_bad_size_is_an_error(self, tmp_path, command, change, flags):
+        # non-finite or non-positive sizes stop at the config, as a one-line
+        # error with exit status 1 rather than a traceback from deep inside
+        from nnlslab.cli import main
+
+        cfg = {k: v for k, v in CFG.items() if k != "grid"}
+        cfg.update(change)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = ["--out", str(tmp_path / "sim")] if command == "simulate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), *out, *flags])
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith(f"nnlslab {command}: error: ")
+
     @pytest.mark.parametrize("command, xi, region", [
         ("planewave", "0.35", "elliptic_wave"),
         ("elliptic", "1.2", "plane_wave")])

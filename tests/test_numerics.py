@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,6 +81,22 @@ class TestTheta3:
         assert abs(out[0] - theta3(0.1, 1j)) == 0.0
 
 
+#: a log end at a complex point off the origin, times a non-polynomial
+#: factor, and its integral to 20 digits
+_LOG_A, _LOG_B = 0.3 + 0.7j, 1.1 - 0.2j
+
+
+def _log_times_meromorphic(z, log=np.log, exp=np.exp):
+    return log(z - _LOG_A) * exp(z) / (1 + z * z)
+
+
+with mpmath.workdps(20):
+    _LOG_REFERENCE = complex(mpmath.quad(
+        lambda t: _log_times_meromorphic(_LOG_A + (_LOG_B - _LOG_A) * t,
+                                         mpmath.log, mpmath.exp),
+        [0, 1]) * (_LOG_B - _LOG_A))
+
+
 class TestQuadPath:
     def test_inverse_sqrt_endpoint(self):
         path = ComplexPath.segment(0, 1, start="inverse_sqrt")
@@ -125,10 +142,11 @@ class TestQuadPath:
          4 * np.log(2) - 4),
         (("inverse_sqrt", "log"), 1, 0, lambda z: np.log(z) / np.sqrt(1 - z),
          4 - 4 * np.log(2)),
+        (("log", "none"), _LOG_A, _LOG_B, _log_times_meromorphic,
+         _LOG_REFERENCE),
     ])
     def test_closed_forms_by_endpoint_tags(self, tags, a, b, f, exact):
-        # a logarithmic end sits at the origin, where the graded mesh's
-        # offsets down to 1e-17 stay representable; the rotated copy runs
+        # exact values in closed form or from mpmath; the rotated copy runs
         # along a complex direction
         for rot in (1.0, np.exp(0.3j)):
             path = ComplexPath.segment(rot * a, rot * b, *tags)
@@ -136,9 +154,9 @@ class TestQuadPath:
             assert abs(val / rot - exact) < 1e-10
 
     def test_log_end_where_the_coordinate_rounds(self):
-        # toward a log end away from the origin, the graded mesh's smallest
-        # offsets vanish against the end's coordinates; no node may land on
-        # the end itself, along the real axis or a rotated direction
+        # toward a log end away from the origin, offsets below an ulp vanish
+        # against the end's coordinates; no node may land on the end itself,
+        # along the real axis or a rotated direction
         path = ComplexPath.segment(0, 1, "none", "log")
         val = quad_path(lambda z: np.log(1 - z), path, tol=1e-12)
         assert abs(val - (-1.0)) < 1e-12
@@ -156,7 +174,8 @@ class TestQuadPath:
         assert abs(val - exact) < 1e-9 * exact
 
     def test_one_integrand_call_per_level(self):
-        # all 29 graded seeds of a log end go to the integrand at once
+        # a log end starts from one panel; each refinement level sends both
+        # halves of every open panel to the integrand at once
         sizes = []
 
         def f(z):
@@ -164,7 +183,8 @@ class TestQuadPath:
             return np.log(z)
 
         quad_path(f, ComplexPath.segment(0, 1, "log", "none"), tol=1e-12)
-        assert sizes[0] == 29 * 15
+        assert sizes[:2] == [15, 30]
+        assert all(n % 30 == 0 for n in sizes[1:])
         assert len(sizes) < 12
 
     def test_interior_singularity_raises(self):

@@ -156,6 +156,16 @@ class TestAgainstOracle:
         prof = InitialProfile.gaussian_bump(1.0, 0.8, 1.0, center=0.5)
         self._check_all(prof, np.array([0.3, 8.0]))
 
+    def test_coarse_high_amplitude(self):
+        # max|q| dx = 0.23: at k = 4 the cells are cut in two only because
+        # of the |q| term of the cut rule (the cell exponential is a Taylor
+        # series that needs (|k| + |q|) h <= 1/2); uncut, they are 1.2e-9
+        # off.  On so coarse a grid, cells just below the cut are less
+        # accurate than this bound: 1.5e-10 at |k| = 2, 2.9e-10 at 2.5
+        prof = InitialProfile.gaussian_bump(2.0, 0.3, 1.5, center=0.5, dx=0.1)
+        assert np.abs(prof.samples).max() * prof.dx >= 0.2
+        self._check_all(prof, np.array([0.3, 4.0]))
+
 
 def _omega_direct(profile, side, edges, z):
     """The sixth-order Magnus exponent of Blanes, Casas & Ros of every cell at
