@@ -52,9 +52,9 @@ __all__ = [
 
 
 def _check_sizes(**sizes):
-    """Raise ValueError unless every given (not None) size is finite and > 0."""
+    """Raise ValueError unless every given size is finite and > 0."""
     for name, v in sizes.items():
-        if v is not None and not 0 < v < np.inf:
+        if not 0 < v < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
@@ -125,7 +125,6 @@ class InitialProfile:
         one, which collapses the argument of 1 + r1*r2 to zero; a nonzero
         ``center`` keeps the nonlocal character visible.
         """
-        _check_sizes(width=width, L=L, dx=dx)
         amplitude = complex(amplitude)
         if amplitude.imag == 0.0:
             amplitude = amplitude.real
@@ -135,6 +134,7 @@ class InitialProfile:
             )
         if dx is None:
             dx = width / 100.0
+        _check_sizes(width=width, L=L, dx=dx)
         n = int(np.ceil(2 * L / dx)) + 1
         x = np.linspace(-L, L, n)
         u = x - center
@@ -144,9 +144,9 @@ class InitialProfile:
 
     @classmethod
     def box(cls, A, amplitude, width, dx=None):
-        _check_sizes(width=width, dx=dx)
         if dx is None:
             dx = width / 200.0
+        _check_sizes(width=width, dx=dx)
         L = width / 2.0 + 4.0 * dx
         n = int(np.ceil(2 * L / dx)) + 1
         x = np.linspace(-L, L, n)

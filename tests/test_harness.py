@@ -313,6 +313,8 @@ class TestCli:
         ("validate", {"rays": [1.2, float("nan")]}, []),
         ("scatter", {"profile": dict(CFG["profile"], width=0.0)}, []),
         ("scatter", {"profile": dict(CFG["profile"], dx=0.0)}, []),
+        ("scatter", {"profile": dict(CFG["profile"], center=float("inf"))},
+         []),
         ("scatter", {"profile": {"preset": "box", "amplitude": 0.3,
                                  "width": 0.0}}, []),
         ("scatter", {"profile": {"L": 1.0, "dx": 0.0,
