@@ -12,9 +12,9 @@ node).  Each entry of a cell's Magnus exponent is a cubic in k (read off
 four samples by a DFT), and the 2x2 exponential has closed form, so every
 batch of k is advanced cell by cell in one vectorized loop: the pure
 background is exact, large |k| sets no step size (cells are only cut where
-|k|*dx > 1/2), and fixed blocks of cells make a point's values independent
-of the other points of its batch.  Cut-side values come from one solve
-started at the minus-side E(k) with the minus-side f(k).  The columns of
+(|k| + max|q|)*dx > 1/2), and fixed blocks of cells make a point's values
+independent of the other points of its batch.  Cut-side values come from one
+solve started at the minus-side E(k) with the minus-side f(k).  The columns of
 Psi solve independent ODEs (the right factor sigma3 is a sign per column),
 so any subset of them can be integrated on its own.  The spectral functions
 a1, a2, b1, b2 are 2x2 determinants of Jost columns.  Off the real axis the
