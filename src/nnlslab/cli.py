@@ -41,9 +41,17 @@ def _load_config(path):
         return RunConfig.from_json(fh.read())
 
 
+def _finite(values, flag):
+    """The values given for a repeatable flag, as floats ([] if none);
+    ValueError unless each is finite."""
+    out = [float(v) for v in values or ()]
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{flag} must be finite, got {values}")
+    return out
+
+
 def cmd_scatter(cfg, args):
-    ks = np.array([float(k) for k in args.k] if args.k
-                  else np.linspace(-5, 5, 21))
+    ks = np.array(_finite(args.k, "--k") or np.linspace(-5, 5, 21))
     ks = ks[ks != 0.0]
     a1, a2, b1, b2 = SpectralTable(cfg.profile).at(ks)
     out = [{"k": k, "a1": json_value(v1), "a2": json_value(v2),
@@ -57,7 +65,8 @@ def _print_rays(cfg, args, region, per_rays):
     """Print ``per_rays(table, rays)``, one dict per ray, keyed by xi: for
     the --ray values, else for the config rays (of ``region`` unless None).
     A --ray outside ``region`` is an error."""
-    rays = [classify_ray(float(xi), cfg.A) for xi in args.ray or cfg.rays]
+    rays = [classify_ray(xi, cfg.A)
+            for xi in _finite(args.ray, "--ray") or cfg.rays]
     wrong = [ray for ray in rays if region not in (None, ray.region)]
     if args.ray and wrong:
         sys.exit(f"nnlslab {args.command}: error: ray {wrong[0].xi:g} is in "

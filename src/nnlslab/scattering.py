@@ -70,8 +70,7 @@ class InitialProfile:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
-        if not self.support_L > 0:
-            raise ValueError("support_L must be positive")
+        _check_sizes(A=self.A, support_L=self.support_L)
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("samples must be a 1-d array with >= 2 entries")
         for edge in (self.samples[0], self.samples[-1]):

@@ -336,6 +336,27 @@ class TestCli:
         assert isinstance(msg, str) and "\n" not in msg
         assert msg.startswith(f"nnlslab {command}: error: ")
 
+    @pytest.mark.parametrize("command, change, flags, expect", [
+        ("validate", {"A": 0}, [], "A must be positive"),
+        ("planewave", {"A": -0.5}, ["--ray", "1.2"], "A must be positive"),
+        ("validate", {}, ["--ray", "nan"], "--ray must be finite"),
+        ("scatter", {}, ["--k", "nan"], "--k must be finite"),
+        ("planewave", {}, ["--ray", "inf"], "--ray must be finite"),
+    ])
+    def test_bad_amplitude_or_point_is_an_error(self, tmp_path, command,
+                                                change, flags, expect):
+        # a background amplitude A <= 0, or a non-finite --ray or --k, is
+        # a one-line error with exit status 1, not a result or a traceback
+        from nnlslab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(CFG, **change)))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), *flags])
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith(f"nnlslab {command}: error: {expect}")
+
     @pytest.mark.parametrize("command, xi, region", [
         ("planewave", "0.35", "elliptic_wave"),
         ("elliptic", "1.2", "plane_wave")])

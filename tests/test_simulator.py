@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nnlslab.simulator as sim
 from nnlslab.harness import RunConfig, run
@@ -410,6 +412,11 @@ class TestSampleRay:
             sample_ray(small_traj, 4.5)
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 class TestExports:
     def test_csv_header_and_rows(self, small_traj, tmp_path):
         path = tmp_path / "traj.csv"
@@ -457,6 +464,70 @@ class TestExports:
             x=np.array([-0.0, -3.0, 1e-7, 2.5, 1e5, 123.456]), A=0.5,
             L_box=3.0, noise_floor_estimate=0.0)
         self._assert_same_bytes(traj, tmp_path)
+
+    @staticmethod
+    def _columns_traj(vals):
+        # each value as re_q (and |v| as abs_q) of snapshot 0, as im_q of
+        # snapshot 1: a product like 1j * inf would make a nan
+        field = np.zeros((2, len(vals)), dtype=complex)
+        field[0].real = vals
+        field[1].imag = vals
+        return FieldTrajectory(ts=np.array([0.0, 0.5]), fields=field,
+                               x=np.linspace(-1.0, 1.0, len(vals)), A=0.5,
+                               L_box=1.0, noise_floor_estimate=0.0)
+
+    def test_csv_matches_row_writer_on_format_edges(self, tmp_path):
+        ties = [1234567890123.5, 12345678901235.0, 12345678901225.0,
+                *(0.5 * float(10**k) for k in range(16))]
+        near_ties = [float(f"1.0000000000005e{k}") for k in range(-12, 13)]
+        powers = [float(10**k) if k >= 0 else 1.0 / 10**-k
+                  for k in range(-12, 13)]
+        decades = [np.nextafter(p, to) for p in powers
+                   for to in (0.0, np.inf)]
+        decades += [float(f"9.9999999999995e{k}") for k in range(-12, 13)]
+        decades += [9.99999999999949, 9.9999999999995, 99999999999.0]
+        exponents = [float(f"{m}e{sign}{e}") for m in (1, 3.7)
+                     for e in (10, 11, 99, 100, 307) for sign in "+-"]
+        exponents += [1.7976931348623157e308, 2.2250738585072014e-308]
+        specials = [0.0, 5e-324, 2.5e-320, 1e-310, np.inf, np.nan]
+        vals = np.array([*ties, *near_ties, *powers, *decades, *exponents,
+                         *specials])
+        self._assert_same_bytes(self._columns_traj(np.concatenate(
+            (vals, -vals))), tmp_path)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True,
+              database=None)
+    @given(st.binary(min_size=8, max_size=64))
+    def test_csv_matches_row_writer_on_raw_bits(self, csv_dir, raw):
+        # every 8 bytes as a float, and again with its biased exponent moved
+        # into [989, 1059], the binades of the fast path 1e-10 <= |v| < 1e11
+        bits = np.frombuffer(raw[:len(raw) // 8 * 8], dtype="<u8")
+        exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+        window = (bits & ~np.uint64(0x7FF << 52)) | (
+            (np.uint64(989) + exponent % np.uint64(71)) << np.uint64(52))
+        vals = np.concatenate((bits, window)).view(np.float64)
+        self._assert_same_bytes(self._columns_traj(vals), csv_dir)
+
+    @pytest.mark.parametrize("snapshots", [9, 17])
+    def test_csv_matches_row_writer_across_blocks(self, tmp_path, rng,
+                                                  snapshots):
+        # one snapshot past one and two blocks of sim._CSV_BLOCK; every
+        # snapshot on its own scale, 1e-12 to 1e12
+        scale = 10.0 ** rng.uniform(-12, 12, (snapshots, 1))
+        field = scale * (rng.normal(size=(snapshots, 64))
+                         + 1j * rng.normal(size=(snapshots, 64)))
+        traj = FieldTrajectory(ts=np.linspace(0.0, 3.0, snapshots),
+                               fields=field, x=np.linspace(-4.0, 4.0, 64),
+                               A=0.5, L_box=4.0, noise_floor_estimate=0.0)
+        self._assert_same_bytes(traj, tmp_path)
+
+    def test_csv_fast_path_covers_the_field(self, small_traj):
+        # the bytes are Python's either way; the fast path must do the work
+        # (t = 0 is left out: its im_q is mostly 0, which takes the fallback)
+        f = small_traj.fields[1:]
+        vals = np.stack((f.real, f.imag, np.hypot(f.real, f.imag)), axis=-1)
+        slots = np.zeros(vals.shape, sim._CSV_SLOT)
+        assert sim._format_e12(vals, slots) < 0.01 * vals.size
 
     def test_binary_round_trip(self, small_traj, tmp_path):
         path = tmp_path / "snaps.bin"

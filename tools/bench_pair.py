@@ -9,8 +9,8 @@ alternating pairs (the side that goes first alternates too): ten pairs on
 each workload, ``compare_readme`` (seed 2), ``ray_sweep`` (seed 0, the seed
 whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
-traced run per side of ``compare_readme`` and of ``ray_sweep`` adds the
-per-layer times and k-point counts, and a separate fresh process per side
+traced run per side of every workload adds the per-layer times and
+counts, and a separate fresh process per side
 counts the work of eight stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35`` and one
 at ``xi = 0.0931`` (the seed-0 ``ray_sweep`` ray with the most band
@@ -27,7 +27,9 @@ calls of the adaptive quadrature and the points they get.  ``simulate``
 and ``harness.run`` count their ``fft`` and ``ifft`` calls and the rays
 count their ``fft`` calls and the snapshots these transform, from
 ``np.fft`` and ``scipy.fft`` alike, so that either side is counted the
-same way.
+same way.  ``trajectory_to_csv`` reports the file's size, its sha256 and
+the number of values it formats (``3 x snapshots x N``), so that the two
+sides can be seen to write the same file.
 
 On a 2-core x86_64 VM one run takes 30-110 s and the whole comparison
 about an hour.  Temporary trees go to ``TMPDIR``.
@@ -47,12 +49,12 @@ import numpy as np
 #: pairs of runs per workload
 PAIRS = 10
 SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
-TRACED = ("compare_readme", "ray_sweep")
+TRACED = ("compare_readme", "ray_sweep", "simulate_export")
 
 #: counts Jost, quadrature and simulator work in a fresh process; argv[1] is
 #: a source tree
 WORK_COUNTS = r"""
-import json, os, sys, tempfile
+import hashlib, json, os, sys, tempfile
 from collections import Counter
 import numpy as np
 sys.path.insert(0, sys.argv[1])
@@ -162,6 +164,10 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "trajectory.csv")
     out["trajectory_csv"], _ = stage(lambda: sim.trajectory_to_csv(traj, path))
     out["trajectory_csv"]["mib"] = os.path.getsize(path) / 2**20
+    out["trajectory_csv"]["values"] = 3 * traj.fields.size
+    with open(path, "rb") as fh:
+        out["trajectory_csv"]["sha256"] = hashlib.file_digest(
+            fh, "sha256").hexdigest()
 print(json.dumps(out))
 """
 
