@@ -343,6 +343,7 @@ def _format_e12(vals, slots):
     m = np.rint(s)
     fast &= (s >= 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - 2.0**-9)
     slow = ~fast
+    # keeps the table indices in range; the fallback overwrites these slots
     m[slow] = 0.0
     # the digits, split off by 10**4 at a time
     q = m.astype(np.int64)

@@ -477,6 +477,7 @@ class TestExports:
                                L_box=1.0, noise_floor_estimate=0.0)
 
     def test_csv_matches_row_writer_on_format_edges(self, tmp_path):
+        # a double can be an exact tie of the 13th digit only from e = 12 on
         ties = [1234567890123.5, 12345678901235.0, 12345678901225.0,
                 *(0.5 * float(10**k) for k in range(16))]
         near_ties = [float(f"1.0000000000005e{k}") for k in range(-12, 13)]
@@ -512,8 +513,11 @@ class TestExports:
     def test_csv_matches_row_writer_across_blocks(self, tmp_path, rng,
                                                   snapshots):
         # one snapshot past one and two blocks of sim._CSV_BLOCK; every
-        # snapshot on its own scale, 1e-12 to 1e12
+        # snapshot on its own scale, 1e-12 to 1e12, except the first, whose
+        # negative values print in 20 bytes ("-d.dddddddddddde-3dd") in
+        # slots the next block fills with shorter ones
         scale = 10.0 ** rng.uniform(-12, 12, (snapshots, 1))
+        scale[0] = 1e-300
         field = scale * (rng.normal(size=(snapshots, 64))
                          + 1j * rng.normal(size=(snapshots, 64)))
         traj = FieldTrajectory(ts=np.linspace(0.0, 3.0, snapshots),

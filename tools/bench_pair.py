@@ -10,8 +10,8 @@ each workload, ``compare_readme`` (seed 2), ``ray_sweep`` (seed 0, the seed
 whose ray constants ``reference.json`` holds) and ``simulate_export``
 (seed 1), each run as long as ``run_seconds`` in BENCHMARK.json.  One
 traced run per side of every workload adds the per-layer times and
-counts, and a separate fresh process per side
-counts the work of eight stages on the README config: the line table,
+counts, and a separate fresh process per side counts the work of eight
+stages on the README config: the line table,
 ``validate_assumptions``, one ``elliptic_data`` at ``xi = 0.35`` and one
 at ``xi = 0.0931`` (the seed-0 ``ray_sweep`` ray with the most band
 nodes), ``simulate``, ``sample_ray`` on 12 rays of ``[0.1, 1.2]`` over all
@@ -49,7 +49,6 @@ import numpy as np
 #: pairs of runs per workload
 PAIRS = 10
 SEEDS = {"compare_readme": 2, "ray_sweep": 0, "simulate_export": 1}
-TRACED = ("compare_readme", "ray_sweep", "simulate_export")
 
 #: counts Jost, quadrature and simulator work in a fresh process; argv[1] is
 #: a source tree
@@ -255,9 +254,8 @@ def main(argv):
                 "summary": summary(pairs, better)}
         for side in revs:
             result["traced"][side] = {
-                workload: run_perfbench(trees[side], workload, SEEDS[workload],
-                                        seconds, 1)
-                for workload in TRACED}
+                workload: run_perfbench(trees[side], workload, seed, seconds, 1)
+                for workload, seed in SEEDS.items()}
             proc = subprocess.run(
                 [sys.executable, "-c", WORK_COUNTS, os.path.join(trees[side], "src"),
                  json.dumps(README_CONFIG)],
